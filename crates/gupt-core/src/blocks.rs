@@ -115,11 +115,74 @@ pub fn default_block_size(n: usize) -> usize {
 
 /// Fisher–Yates shuffle (rand 0.10 ships no slice shuffle in our
 /// dependency set).
+///
+/// The draw for position `i` is `random_range(0..=i)` over `usize`
+/// whatever the item type, so shuffling a `u32` permutation consumes
+/// the same words and makes the same swaps as shuffling a `usize` one.
 fn shuffle<R: Rng + ?Sized, T>(items: &mut [T], rng: &mut R) {
     for i in (1..items.len()).rev() {
         let j = rng.random_range(0..=i);
         items.swap(i, j);
     }
+}
+
+/// Record indices the partition shuffle can permute: `u32` whenever
+/// every index fits (half the bytes to swap and to read back), `usize`
+/// otherwise.
+trait PlanIndex: Copy {
+    /// Narrows an index the caller has checked fits.
+    fn narrow(i: usize) -> Self;
+    /// Widens back to a plan index.
+    fn widen(self) -> usize;
+}
+
+impl PlanIndex for u32 {
+    #[inline]
+    fn narrow(i: usize) -> u32 {
+        debug_assert!(u32::try_from(i).is_ok());
+        i as u32
+    }
+
+    #[inline]
+    fn widen(self) -> usize {
+        self as usize
+    }
+}
+
+impl PlanIndex for usize {
+    #[inline]
+    fn narrow(i: usize) -> usize {
+        i
+    }
+
+    #[inline]
+    fn widen(self) -> usize {
+        self
+    }
+}
+
+/// `gamma` rounds of: shuffle the indices `start..end` (held as `I`),
+/// then chop the permutation into blocks of `block_size`, each widened
+/// into its own shared index list. `start < end`, `block_size ≥ 1`.
+fn shuffled_blocks<I: PlanIndex, R: Rng + ?Sized>(
+    start: usize,
+    end: usize,
+    block_size: usize,
+    gamma: usize,
+    rng: &mut R,
+) -> Vec<Arc<[usize]>> {
+    let n = end - start;
+    let mut blocks = Vec::with_capacity(gamma * n.div_ceil(block_size));
+    let mut order: Vec<I> = Vec::with_capacity(n);
+    for _ in 0..gamma {
+        order.clear();
+        order.extend((start..end).map(I::narrow));
+        shuffle(&mut order, rng);
+        for chunk in order.chunks(block_size) {
+            blocks.push(chunk.iter().map(|&i| i.widen()).collect());
+        }
+    }
+    blocks
 }
 
 /// Builds a partition plan: `gamma` independent shuffles of `0..n`, each
@@ -134,30 +197,7 @@ pub fn partition<R: Rng + ?Sized>(
     gamma: usize,
     rng: &mut R,
 ) -> BlockPlan {
-    let gamma = gamma.max(1);
-    if n == 0 {
-        return BlockPlan {
-            blocks: Vec::new(),
-            block_size: block_size.max(1),
-            gamma,
-            records: 0,
-        };
-    }
-    let block_size = block_size.clamp(1, n);
-    let mut blocks = Vec::with_capacity(gamma * n.div_ceil(block_size));
-    for _ in 0..gamma {
-        let mut order: Vec<usize> = (0..n).collect();
-        shuffle(&mut order, rng);
-        for chunk in order.chunks(block_size) {
-            blocks.push(Arc::from(chunk));
-        }
-    }
-    BlockPlan {
-        blocks,
-        block_size,
-        gamma,
-        records: n,
-    }
+    partition_range(0, n, block_size, gamma, rng)
 }
 
 /// Builds a partition plan over the contiguous record range
@@ -166,6 +206,10 @@ pub fn partition<R: Rng + ?Sized>(
 /// by `start`, so the resulting [`BlockPlan`] views window rows in place
 /// (no copy, no re-indexing of the underlying store). An inverted range
 /// yields an empty plan.
+///
+/// Each round shuffles a compact `u32` permutation when the largest
+/// index fits in 32 bits and a `usize` one otherwise; both draw the
+/// same words, so the plan is the same either way.
 pub fn partition_range<R: Rng + ?Sized>(
     start: usize,
     end: usize,
@@ -184,14 +228,11 @@ pub fn partition_range<R: Rng + ?Sized>(
         };
     }
     let block_size = block_size.clamp(1, n);
-    let mut blocks = Vec::with_capacity(gamma * n.div_ceil(block_size));
-    for _ in 0..gamma {
-        let mut order: Vec<usize> = (start..end).collect();
-        shuffle(&mut order, rng);
-        for chunk in order.chunks(block_size) {
-            blocks.push(Arc::from(chunk));
-        }
-    }
+    let blocks = if u32::try_from(end - 1).is_ok() {
+        shuffled_blocks::<u32, R>(start, end, block_size, gamma, rng)
+    } else {
+        shuffled_blocks::<usize, R>(start, end, block_size, gamma, rng)
+    };
     BlockPlan {
         blocks,
         block_size,
@@ -470,6 +511,64 @@ mod tests {
         assert_eq!(plan.num_blocks(), 40);
         // One *user* affects γ blocks: sensitivity = γ·s/ℓ.
         assert!((plan.average_sensitivity(5.0) - 2.0 * 5.0 / 40.0).abs() < 1e-12);
+    }
+
+    /// FNV-1a 64 over a plan's shape and every index in block order.
+    fn plan_digest(plan: &BlockPlan) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut write = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        write(plan.block_size() as u64);
+        write(plan.gamma() as u64);
+        write(plan.records() as u64);
+        write(plan.num_blocks() as u64);
+        for block in plan.blocks() {
+            write(block.len() as u64);
+            for &i in block.iter() {
+                write(i as u64);
+            }
+        }
+        h
+    }
+
+    /// Golden plan digests, captured from the `usize`-permutation,
+    /// two-division implementation: any change to a drawn index, the
+    /// block order or the chunking breaks them. Rows are
+    /// `(n, γ, partition digest, partition_range(17, 17 + n) digest)`
+    /// at `β = default_block_size(n)` and seed `0x5EED ^ n`.
+    const GOLDEN_PLANS: [(usize, usize, u64, u64); 8] = [
+        (1, 1, 0xc890_d316_42e2_8a64, 0xd738_0aaf_fcc6_7695),
+        (1, 3, 0x9d16_8af6_115b_8524, 0xe596_07b4_0c1a_7955),
+        (7, 1, 0xde8b_d200_891c_2b65, 0x0ec5_81ad_301c_8132),
+        (7, 3, 0xc81d_64ea_faf7_e563, 0xd1e1_2675_84c9_c954),
+        (1000, 1, 0x517a_5afd_0921_487d, 0xde17_5e7a_8152_cf38),
+        (1000, 3, 0x0661_c4e9_3435_5767, 0x1abb_8ad1_d2f6_be3a),
+        (100_003, 1, 0x9f0e_41a6_4067_5031, 0xab99_f1db_a4b5_512d),
+        (100_003, 3, 0xc4cc_af7a_f044_fcf4, 0x9706_4e32_3b4b_1000),
+    ];
+
+    #[test]
+    fn plans_match_golden_digests() {
+        for (n, gamma, whole, ranged) in GOLDEN_PLANS {
+            let beta = default_block_size(n);
+            let seed = 0x5EED ^ n as u64;
+            let a = partition(n, beta, gamma, &mut StdRng::seed_from_u64(seed));
+            let b = partition_range(17, 17 + n, beta, gamma, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(plan_digest(&a), whole, "partition n={n} γ={gamma}");
+            assert_eq!(plan_digest(&b), ranged, "partition_range n={n} γ={gamma}");
+        }
+    }
+
+    #[test]
+    fn compact_and_wide_permutations_draw_the_same_plan() {
+        for (start, end, beta, gamma) in [(0, 1, 1, 1), (0, 1000, 63, 3), (17, 5017, 100, 2)] {
+            let narrow = shuffled_blocks::<u32, _>(start, end, beta, gamma, &mut rng());
+            let wide = shuffled_blocks::<usize, _>(start, end, beta, gamma, &mut rng());
+            assert_eq!(narrow, wide, "{start}..{end} β={beta} γ={gamma}");
+        }
     }
 
     #[test]

@@ -167,6 +167,11 @@ impl Dataset {
     /// §3.3 aging path the streaming plane takes as window frontiers
     /// advance past rows no later window can cover.
     ///
+    /// Costs O(`end - start`) amortized: when no other handle shares the
+    /// aged store it grows in place, and otherwise it is copied once so
+    /// a held [`Dataset::aged_store`] snapshot never changes under its
+    /// reader (the [`Dataset::append_rows_in_place`] pattern).
+    ///
     /// The main store is **not** truncated: row offsets stay stable (so
     /// outstanding window bounds and cached window fingerprints remain
     /// valid) and the epoch chain is untouched. Aged copies only relax
@@ -186,9 +191,16 @@ impl Dataset {
             return Ok(0);
         }
         let arity = self.store.dimension();
-        let mut flat = self.aged.flat().to_vec();
-        flat.extend_from_slice(self.store.flat_range(start, end));
-        self.aged = Arc::new(RowStore::from_flat(flat, arity));
+        let rows = self.store.flat_range(start, end);
+        match Arc::get_mut(&mut self.aged) {
+            Some(aged) => aged.append_flat(rows, arity),
+            None => {
+                let mut flat = Vec::with_capacity(self.aged.flat().len() + rows.len());
+                flat.extend_from_slice(self.aged.flat());
+                flat.extend_from_slice(rows);
+                self.aged = Arc::new(RowStore::from_flat(flat, arity));
+            }
+        }
         Ok(end - start)
     }
 
@@ -479,6 +491,27 @@ mod tests {
         assert!(ds.age_rows(5, 11).is_err());
         assert!(ds.age_rows(6, 2).is_err());
         assert_eq!(ds.aged_store().len(), 7);
+    }
+
+    #[test]
+    fn aging_never_changes_a_held_aged_snapshot() {
+        let mut ds = Dataset::new(rows(10)).unwrap();
+        ds.age_rows(0, 3).unwrap();
+        let snapshot = Arc::clone(ds.aged_store());
+        let before = (*snapshot).clone();
+        ds.age_rows(3, 8).unwrap();
+        assert_eq!(*snapshot, before, "a held snapshot must not grow");
+        assert!(!Arc::ptr_eq(&snapshot, ds.aged_store()));
+        assert_eq!(ds.aged_store().len(), 8);
+        // With the snapshot gone the aged store grows in place.
+        drop(snapshot);
+        let unshared = Arc::as_ptr(ds.aged_store());
+        ds.age_rows(8, 10).unwrap();
+        assert_eq!(Arc::as_ptr(ds.aged_store()), unshared);
+        assert_eq!(ds.aged_store().len(), 10);
+        for i in 0..10 {
+            assert_eq!(ds.aged_store().row(i), ds.store().row(i));
+        }
     }
 
     #[test]

@@ -58,16 +58,7 @@ impl RowStore {
     /// `data.len()` must be a multiple of `arity` (an `arity` of 0
     /// requires an empty buffer).
     pub fn from_flat(data: Vec<f64>, arity: usize) -> RowStore {
-        let rows = if arity == 0 {
-            assert!(data.is_empty(), "arity 0 requires an empty buffer");
-            0
-        } else {
-            assert!(
-                data.len().is_multiple_of(arity),
-                "flat buffer length must be a multiple of the arity"
-            );
-            data.len() / arity
-        };
+        let rows = flat_rows(&data, arity);
         RowStore { data, arity, rows }
     }
 
@@ -128,7 +119,29 @@ impl RowStore {
         self.rows += delta.len();
     }
 
+    /// Appends rows given as a flat row-major buffer of `arity` values
+    /// each, in place — the aging twin of [`RowStore::append_rows`] for
+    /// rows that are already flat (e.g. a [`RowStore::flat_range`] of
+    /// another store).
+    ///
+    /// Amortized O(`flat.len()`), like [`RowStore::append_rows`]. An
+    /// empty store adopts `arity`; otherwise it must match, and
+    /// `flat.len()` must be a multiple of it (an `arity` of 0 requires
+    /// an empty buffer).
+    pub fn append_flat(&mut self, flat: &[f64], arity: usize) {
+        if self.rows == 0 && self.arity == 0 {
+            self.arity = arity;
+        }
+        assert_eq!(
+            arity, self.arity,
+            "appended rows must share the store's arity"
+        );
+        self.rows += flat_rows(flat, arity);
+        self.data.extend_from_slice(flat);
+    }
+
     /// Number of rows.
+    #[inline]
     pub fn len(&self) -> usize {
         self.rows
     }
@@ -139,18 +152,21 @@ impl RowStore {
     }
 
     /// Row arity (values per row).
+    #[inline]
     pub fn dimension(&self) -> usize {
         self.arity
     }
 
     /// Row `i` as a slice (panics when out of bounds).
+    #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.arity..(i + 1) * self.arity]
     }
 
-    /// Iterates over all rows in order.
+    /// Iterates over all rows in order (an arity-0 store yields
+    /// [`RowStore::len`] empty rows).
     pub fn iter_rows(&self) -> impl ExactSizeIterator<Item = &[f64]> + '_ {
-        self.data.chunks_exact(self.arity.max(1)).take(self.rows)
+        BlockRows::dense(self, 0, self.rows)
     }
 
     /// The flat row-major buffer (row `i` occupies
@@ -251,6 +267,21 @@ impl RowStore {
     }
 }
 
+/// Rows in a flat row-major buffer of `arity` values each; panics unless
+/// the length is a multiple of the arity (an `arity` of 0 requires an
+/// empty buffer).
+fn flat_rows(flat: &[f64], arity: usize) -> usize {
+    if arity == 0 {
+        assert!(flat.is_empty(), "arity 0 requires an empty buffer");
+        return 0;
+    }
+    assert!(
+        flat.len().is_multiple_of(arity),
+        "flat buffer length must be a multiple of the arity"
+    );
+    flat.len() / arity
+}
+
 /// Lane-split reduction of a contiguous slice: 8 independent partial
 /// sums the optimiser can keep in vector registers, plus a scalar tail.
 fn sum_lanes(xs: &[f64]) -> f64 {
@@ -336,6 +367,7 @@ impl BlockView {
     }
 
     /// Number of rows in the block.
+    #[inline]
     pub fn len(&self) -> usize {
         match &self.indices {
             ViewIndices::Dense { len, .. } => *len,
@@ -354,6 +386,7 @@ impl BlockView {
     }
 
     /// The `i`-th row of the block (panics when out of bounds).
+    #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
         match &self.indices {
             ViewIndices::Dense { start, len } => {
@@ -365,8 +398,17 @@ impl BlockView {
     }
 
     /// Iterates over the block's rows in block order.
+    #[inline]
     pub fn iter(&self) -> BlockRows<'_> {
-        BlockRows { view: self, pos: 0 }
+        match &self.indices {
+            ViewIndices::Dense { start, len } => BlockRows::dense(&self.store, *start, start + len),
+            ViewIndices::Sparse(idx) => BlockRows {
+                rows: Rows::Sparse {
+                    store: &self.store,
+                    indices: idx.iter(),
+                },
+            },
+        }
     }
 
     /// The shared row store this view borrows from. Exposed so callers
@@ -439,26 +481,61 @@ impl<'a> IntoIterator for &'a BlockView {
 }
 
 /// Iterator over a [`BlockView`]'s rows.
+///
+/// Walks the data directly rather than calling [`BlockView::row`] per
+/// position: a dense view steps through its flat range in row-sized
+/// chunks, a sparse view through its (construction-checked) index list
+/// with one bounds-checked [`RowStore::row`] slice per index.
 #[derive(Debug)]
 pub struct BlockRows<'a> {
-    view: &'a BlockView,
-    pos: usize,
+    rows: Rows<'a>,
+}
+
+#[derive(Debug)]
+enum Rows<'a> {
+    /// Consecutive rows of arity ≥ 1.
+    Dense(std::slice::ChunksExact<'a, f64>),
+    /// Consecutive rows of arity 0: each one is the empty slice, so
+    /// only the count remains.
+    Hollow(std::ops::Range<usize>),
+    /// Rows picked by a shared index list.
+    Sparse {
+        store: &'a RowStore,
+        indices: std::slice::Iter<'a, usize>,
+    },
+}
+
+impl<'a> BlockRows<'a> {
+    /// The rows `start..end` of `store`, in order.
+    #[inline]
+    fn dense(store: &'a RowStore, start: usize, end: usize) -> BlockRows<'a> {
+        let rows = match store.arity {
+            0 => Rows::Hollow(start..end),
+            arity => Rows::Dense(store.flat_range(start, end).chunks_exact(arity)),
+        };
+        BlockRows { rows }
+    }
 }
 
 impl<'a> Iterator for BlockRows<'a> {
     type Item = &'a [f64];
 
+    #[inline]
     fn next(&mut self) -> Option<&'a [f64]> {
-        if self.pos >= self.view.len() {
-            return None;
+        match &mut self.rows {
+            Rows::Dense(chunks) => chunks.next(),
+            Rows::Hollow(left) => left.next().map(|_| &[][..]),
+            Rows::Sparse { store, indices } => indices.next().map(|&i| store.row(i)),
         }
-        let row = self.view.row(self.pos);
-        self.pos += 1;
-        Some(row)
     }
 
+    #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.view.len() - self.pos;
+        let left = match &self.rows {
+            Rows::Dense(chunks) => chunks.len(),
+            Rows::Hollow(left) => left.len(),
+            Rows::Sparse { indices, .. } => indices.len(),
+        };
         (left, Some(left))
     }
 }
@@ -495,6 +572,22 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.dimension(), 0);
         assert_eq!(s.iter_rows().count(), 0);
+    }
+
+    #[test]
+    fn arity_zero_store_yields_one_empty_row_per_record() {
+        let s = Arc::new(RowStore::from_rows(&[vec![], vec![]]));
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.dimension(), 0);
+        assert_eq!(s.iter_rows().len(), 2);
+        assert!(s.iter_rows().all(<[f64]>::is_empty));
+        assert_eq!(s.to_rows(), vec![Vec::<f64>::new(); 2]);
+        let full = BlockView::full(Arc::clone(&s));
+        assert_eq!(full.iter().len(), 2);
+        assert_eq!(full.to_rows(), vec![Vec::<f64>::new(); 2]);
+        assert_eq!(BlockView::dense(Arc::clone(&s), 1, 1).iter().count(), 1);
+        let sparse = BlockView::sparse(s, Arc::from(vec![1, 0, 1].into_boxed_slice()));
+        assert_eq!(sparse.iter().count(), 3);
     }
 
     #[test]
@@ -573,6 +666,27 @@ mod tests {
         // And an empty delta is a no-op.
         empty.append_rows(&[]);
         assert_eq!(empty.len(), 1);
+    }
+
+    #[test]
+    fn flat_append_matches_the_row_append() {
+        let mut by_rows = RowStore::from_rows(&[vec![0.0, 10.0]]);
+        by_rows.append_rows(&[vec![1.0, 11.0], vec![2.0, 12.0]]);
+        let mut by_flat = RowStore::from_rows(&[vec![0.0, 10.0]]);
+        by_flat.append_flat(&[1.0, 11.0, 2.0, 12.0], 2);
+        assert_eq!(by_flat, by_rows);
+        // An empty store adopts the appended arity.
+        let mut empty = RowStore::from_flat(Vec::new(), 0);
+        empty.append_flat(&[7.0, 8.0, 9.0], 3);
+        assert_eq!((empty.len(), empty.dimension()), (1, 3));
+        empty.append_flat(&[], 3);
+        assert_eq!(empty.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "multiple of the arity")]
+    fn flat_append_rejects_a_ragged_buffer() {
+        RowStore::from_rows(&[vec![1.0, 2.0]]).append_flat(&[3.0], 2);
     }
 
     #[test]

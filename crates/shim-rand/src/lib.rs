@@ -152,16 +152,22 @@ impl SampleRange<f64> for core::ops::RangeInclusive<f64> {
 
 /// Uniform draw from `[0, bound)` by rejection on the top multiple of
 /// `bound` (unbiased; `bound` must be non-zero).
+///
+/// A word `v` is accepted when its whole `bound`-sized bucket
+/// `[v - v % bound, v - v % bound + bound)` fits below `2^64`. That is
+/// the same test as `v < u64::MAX - u64::MAX % bound`, so it accepts and
+/// rejects exactly the same words, but it costs one division per draw
+/// instead of two.
 fn uniform_u64_below<R: Rng + ?Sized>(rng: &mut R, bound: u64) -> u64 {
     debug_assert!(bound > 0);
     if bound.is_power_of_two() {
         return rng.next_u64() & (bound - 1);
     }
-    let zone = u64::MAX - (u64::MAX % bound);
     loop {
         let v = rng.next_u64();
-        if v < zone {
-            return v % bound;
+        let r = v % bound;
+        if (v - r).checked_add(bound).is_some() {
+            return r;
         }
     }
 }
@@ -358,6 +364,85 @@ mod tests {
         for c in counts {
             let frac = c as f64 / n as f64;
             assert!((frac - 1.0 / 3.0).abs() < 0.02, "frac = {frac}");
+        }
+    }
+
+    /// Replays a fixed script of words, then a seeded stream.
+    struct Scripted {
+        words: Vec<u64>,
+        next: usize,
+        tail: StdRng,
+    }
+
+    impl Scripted {
+        fn new(words: Vec<u64>, seed: u64) -> Scripted {
+            Scripted {
+                words,
+                next: 0,
+                tail: StdRng::seed_from_u64(seed),
+            }
+        }
+    }
+
+    impl Rng for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            let v = self.words.get(self.next).copied();
+            self.next += 1;
+            v.unwrap_or_else(|| self.tail.next_u64())
+        }
+    }
+
+    /// The two-division rejection rule the draw used before; kept as
+    /// the oracle the one-division rule must match word for word.
+    fn oracle_below<R: Rng + ?Sized>(rng: &mut R, bound: u64) -> u64 {
+        if bound.is_power_of_two() {
+            return rng.next_u64() & (bound - 1);
+        }
+        let zone = u64::MAX - (u64::MAX % bound);
+        loop {
+            let v = rng.next_u64();
+            if v < zone {
+                return v % bound;
+            }
+        }
+    }
+
+    #[test]
+    fn one_division_draw_matches_the_zone_oracle() {
+        let bounds = [
+            1,
+            2,
+            3,
+            7,
+            1 << 20,
+            1000,
+            100_003,
+            u64::from(u32::MAX),
+            1 << 32,
+            (1 << 32) + 1,
+            1 << 63,
+            (1 << 63) + 1,
+            3 << 62,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let mut words = StdRng::seed_from_u64(11);
+        for bound in bounds {
+            let zone = u64::MAX - (u64::MAX % bound);
+            let edges = [0, 1, zone - 1, zone, zone.saturating_add(1), u64::MAX];
+            let randoms: Vec<u64> = (0..64).map(|_| words.next_u64()).collect();
+            for first in edges.into_iter().chain(randoms) {
+                // Each script opens with the probed word, then two edge
+                // words that force further rejections when `zone` is low.
+                let script = vec![first, u64::MAX, zone, words.next_u64()];
+                let mut new = Scripted::new(script.clone(), bound);
+                let mut old = Scripted::new(script, bound);
+                let got = super::uniform_u64_below(&mut new, bound);
+                let want = oracle_below(&mut old, bound);
+                assert_eq!(got, want, "bound {bound:#x}, first word {first:#x}");
+                assert_eq!(new.next, old.next, "bound {bound:#x}: words consumed");
+                assert!(got < bound);
+            }
         }
     }
 

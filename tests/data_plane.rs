@@ -93,6 +93,47 @@ fn views_share_one_store() {
     assert_eq!(total, plan.index_bytes());
 }
 
+/// Checks that `iter()` yields exactly `(0..len).map(row)` and that its
+/// size hint stays exact after every step of a partial consumption.
+fn assert_iter_conforms(view: &BlockView) {
+    let by_index: Vec<&[f64]> = (0..view.len()).map(|i| view.row(i)).collect();
+    assert_eq!(view.iter().collect::<Vec<_>>(), by_index);
+    let mut it = view.iter();
+    for taken in 0..=view.len() {
+        let left = view.len() - taken;
+        assert_eq!(it.size_hint(), (left, Some(left)), "after {taken} rows");
+        assert_eq!(it.len(), left);
+        assert_eq!(it.next(), by_index.get(taken).copied());
+    }
+    assert_eq!(it.next(), None, "exhausted iterator stays exhausted");
+    assert_eq!(it.size_hint(), (0, Some(0)));
+}
+
+/// The row iterator walks the data directly; it must agree with the
+/// indexed accessor on every view shape, including arity-0 stores whose
+/// rows are all empty.
+#[test]
+fn row_iterator_conforms_to_indexed_access() {
+    let store = Arc::new(RowStore::from_rows(&rows(50)));
+    let plan = plan_for(50, 7, 2, 3);
+    let mut views = vec![
+        BlockView::full(Arc::clone(&store)),
+        BlockView::dense(Arc::clone(&store), 13, 21),
+        BlockView::dense(Arc::clone(&store), 50, 0),
+        BlockView::sparse(Arc::clone(&store), Arc::from(vec![49, 0, 0, 7])),
+        BlockView::sparse(Arc::clone(&store), Arc::from(Vec::new())),
+    ];
+    views.extend(plan.views(&store));
+    let hollow = Arc::new(RowStore::from_rows(&[vec![], vec![], vec![]]));
+    views.push(BlockView::full(Arc::clone(&hollow)));
+    views.push(BlockView::dense(Arc::clone(&hollow), 1, 2));
+    views.push(BlockView::sparse(hollow, Arc::from(vec![2, 2])));
+    views.push(BlockView::full(Arc::new(RowStore::from_rows(&[]))));
+    for view in &views {
+        assert_iter_conforms(view);
+    }
+}
+
 proptest! {
     // Every block view exposes exactly the rows the legacy clone plane
     // materialised, in the same order.
