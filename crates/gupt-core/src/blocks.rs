@@ -10,6 +10,7 @@
 
 use gupt_sandbox::view::{BlockView, RowStore};
 use rand::{Rng, RngExt};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A partition plan: blocks of record indices into the dataset.
@@ -115,12 +116,21 @@ pub fn default_block_size(n: usize) -> usize {
 
 /// Fisher–Yates shuffle (rand 0.10 ships no slice shuffle in our
 /// dependency set).
-///
-/// The draw for position `i` is `random_range(0..=i)` over `usize`
-/// whatever the item type, so shuffling a `u32` permutation consumes
-/// the same words and makes the same swaps as shuffling a `usize` one.
 fn shuffle<R: Rng + ?Sized, T>(items: &mut [T], rng: &mut R) {
-    for i in (1..items.len()).rev() {
+    draw_down(items, 1..items.len(), rng);
+}
+
+/// The Fisher–Yates draws for the positions in `positions`, from the top
+/// down: position `i` swaps with a uniform `j ∈ 0..=i`. Running the
+/// ranges `a..len`, then `b..a`, … down to `1..c` draws exactly what one
+/// full [`shuffle`] draws, and once the draw for `i` is done every
+/// position `≥ i` is final.
+///
+/// The draw is `random_range(0..=i)` over `usize` whatever the item
+/// type, so shuffling a `u32` permutation consumes the same words and
+/// makes the same swaps as shuffling a `usize` one.
+fn draw_down<R: Rng + ?Sized, T>(items: &mut [T], positions: Range<usize>, rng: &mut R) {
+    for i in positions.rev() {
         let j = rng.random_range(0..=i);
         items.swap(i, j);
     }
@@ -161,26 +171,50 @@ impl PlanIndex for usize {
     }
 }
 
+/// Number of blocks [`partition_range`] draws over `records` records:
+/// `γ·⌈n/β⌉` under the same clamps (`β ∈ [1, n]`, `γ ≥ 1`), 0 for no
+/// records. Known before the draw, so a dispatch can size itself first.
+pub fn block_count(records: usize, block_size: usize, gamma: usize) -> usize {
+    if records == 0 {
+        return 0;
+    }
+    gamma.max(1) * records.div_ceil(block_size.clamp(1, records))
+}
+
 /// `gamma` rounds of: shuffle the indices `start..end` (held as `I`),
 /// then chop the permutation into blocks of `block_size`, each widened
 /// into its own shared index list. `start < end`, `block_size ≥ 1`.
+///
+/// Each round draws from the top position down, so block `c` (positions
+/// `[cβ, min((c+1)β, n))`) is final right after the draw at `cβ`, and
+/// block 0 after the round's last draw. `ready(index, block)` is called
+/// at that moment with the block's index in the whole plan — within a
+/// round the last block is published first.
 fn shuffled_blocks<I: PlanIndex, R: Rng + ?Sized>(
     start: usize,
     end: usize,
     block_size: usize,
     gamma: usize,
     rng: &mut R,
+    ready: &mut impl FnMut(usize, &Arc<[usize]>),
 ) -> Vec<Arc<[usize]>> {
     let n = end - start;
-    let mut blocks = Vec::with_capacity(gamma * n.div_ceil(block_size));
+    let chunks = n.div_ceil(block_size);
+    let mut blocks = Vec::with_capacity(gamma * chunks);
     let mut order: Vec<I> = Vec::with_capacity(n);
     for _ in 0..gamma {
         order.clear();
         order.extend((start..end).map(I::narrow));
-        shuffle(&mut order, rng);
-        for chunk in order.chunks(block_size) {
-            blocks.push(chunk.iter().map(|&i| i.widen()).collect());
+        let first = blocks.len();
+        for c in (0..chunks).rev() {
+            let lo = c * block_size;
+            let hi = (lo + block_size).min(n);
+            draw_down(&mut order, lo.max(1)..hi, rng);
+            let block: Arc<[usize]> = order[lo..hi].iter().map(|&i| i.widen()).collect();
+            ready(first + c, &block);
+            blocks.push(block);
         }
+        blocks[first..].reverse();
     }
     blocks
 }
@@ -206,16 +240,33 @@ pub fn partition<R: Rng + ?Sized>(
 /// by `start`, so the resulting [`BlockPlan`] views window rows in place
 /// (no copy, no re-indexing of the underlying store). An inverted range
 /// yields an empty plan.
-///
-/// Each round shuffles a compact `u32` permutation when the largest
-/// index fits in 32 bits and a `usize` one otherwise; both draw the
-/// same words, so the plan is the same either way.
 pub fn partition_range<R: Rng + ?Sized>(
     start: usize,
     end: usize,
     block_size: usize,
     gamma: usize,
     rng: &mut R,
+) -> BlockPlan {
+    partition_range_with(start, end, block_size, gamma, rng, |_, _| {})
+}
+
+/// [`partition_range`] that also hands each block to `ready(index,
+/// block)` the moment the shuffle has made it final, so a caller can
+/// start work on early blocks while later ones are still being drawn.
+/// Every one of the [`block_count`] indices is published exactly once,
+/// in no fixed order; the returned plan, the drawn indices and the RNG
+/// stream are the same as [`partition_range`]'s.
+///
+/// Each round shuffles a compact `u32` permutation when the largest
+/// index fits in 32 bits and a `usize` one otherwise; both draw the
+/// same words, so the plan is the same either way.
+pub fn partition_range_with<R: Rng + ?Sized>(
+    start: usize,
+    end: usize,
+    block_size: usize,
+    gamma: usize,
+    rng: &mut R,
+    mut ready: impl FnMut(usize, &Arc<[usize]>),
 ) -> BlockPlan {
     let gamma = gamma.max(1);
     let n = end.saturating_sub(start);
@@ -229,9 +280,9 @@ pub fn partition_range<R: Rng + ?Sized>(
     }
     let block_size = block_size.clamp(1, n);
     let blocks = if u32::try_from(end - 1).is_ok() {
-        shuffled_blocks::<u32, R>(start, end, block_size, gamma, rng)
+        shuffled_blocks::<u32, R>(start, end, block_size, gamma, rng, &mut ready)
     } else {
-        shuffled_blocks::<usize, R>(start, end, block_size, gamma, rng)
+        shuffled_blocks::<usize, R>(start, end, block_size, gamma, rng, &mut ready)
     };
     BlockPlan {
         blocks,
@@ -565,9 +616,54 @@ mod tests {
     #[test]
     fn compact_and_wide_permutations_draw_the_same_plan() {
         for (start, end, beta, gamma) in [(0, 1, 1, 1), (0, 1000, 63, 3), (17, 5017, 100, 2)] {
-            let narrow = shuffled_blocks::<u32, _>(start, end, beta, gamma, &mut rng());
-            let wide = shuffled_blocks::<usize, _>(start, end, beta, gamma, &mut rng());
+            let narrow =
+                shuffled_blocks::<u32, _>(start, end, beta, gamma, &mut rng(), &mut |_, _| {});
+            let wide =
+                shuffled_blocks::<usize, _>(start, end, beta, gamma, &mut rng(), &mut |_, _| {});
             assert_eq!(narrow, wide, "{start}..{end} β={beta} γ={gamma}");
+        }
+    }
+
+    #[test]
+    fn ready_publishes_each_final_block_once() {
+        for (start, end, beta, gamma) in [(0, 1, 1, 1), (0, 1000, 63, 3), (17, 5017, 100, 2)] {
+            let mut published: Vec<(usize, Arc<[usize]>)> = Vec::new();
+            let plan = partition_range_with(start, end, beta, gamma, &mut rng(), |i, b| {
+                published.push((i, Arc::clone(b)))
+            });
+            assert_eq!(published.len(), block_count(end - start, beta, gamma));
+            assert_eq!(published.len(), plan.num_blocks());
+            for &(i, ref block) in &published {
+                assert!(
+                    Arc::ptr_eq(block, &plan.blocks()[i]),
+                    "block {i} is the plan's own"
+                );
+            }
+            // Top-down within each round: the last block is final first.
+            let per_round = plan.num_blocks() / plan.gamma();
+            let order: Vec<usize> = published.iter().map(|&(i, _)| i).collect();
+            let expected: Vec<usize> = (0..plan.gamma())
+                .flat_map(|r| (0..per_round).rev().map(move |c| r * per_round + c))
+                .collect();
+            assert_eq!(order, expected);
+        }
+    }
+
+    #[test]
+    fn block_count_matches_the_drawn_plan() {
+        for (n, beta, gamma) in [
+            (0, 5, 2),
+            (1, 0, 0),
+            (7, 100, 3),
+            (103, 10, 2),
+            (1000, 1, 1),
+        ] {
+            let plan = partition(n, beta, gamma, &mut rng());
+            assert_eq!(
+                block_count(n, beta, gamma),
+                plan.num_blocks(),
+                "n={n} β={beta} γ={gamma}"
+            );
         }
     }
 

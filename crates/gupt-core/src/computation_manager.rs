@@ -16,8 +16,8 @@
 
 use gupt_sandbox::view::{BlockView, RowStore};
 use gupt_sandbox::{
-    BlockProgram, ChamberOutcome, ChamberPolicy, ChamberPool, ChamberReport, ExecutionPolicy,
-    PoolTrace,
+    BlockProgram, BlockSink, ChamberOutcome, ChamberPolicy, ChamberPool, ChamberReport,
+    ExecutionPolicy, PoolTrace,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -123,13 +123,13 @@ impl ComputationManager {
         self.execute_blocks_planned(program, views, cap, None, None)
     }
 
-    /// The full-featured dispatch behind the runtime's query path:
-    /// optional deadline cap (same precedence as
-    /// [`ComputationManager::execute_blocks_capped`]), optional
-    /// per-query [`ExecutionPolicy`] override (a `QuerySpec::execution`
-    /// or a service worker-budget cap), and optional per-query seed
-    /// base from which chamber `i`'s RNG stream is split *before*
-    /// fan-out, keeping answers bit-identical at any thread count.
+    /// Dispatch with every block ready up front: optional deadline cap
+    /// (same precedence as [`ComputationManager::execute_blocks_capped`]),
+    /// optional per-query [`ExecutionPolicy`] override (a
+    /// `QuerySpec::execution` or a service worker-budget cap), and
+    /// optional per-query seed base from which chamber `i`'s RNG stream
+    /// is split *before* fan-out, keeping answers bit-identical at any
+    /// thread count.
     pub fn execute_blocks_planned(
         &self,
         program: &Arc<dyn BlockProgram>,
@@ -138,6 +138,34 @@ impl ComputationManager {
         exec: Option<&ExecutionPolicy>,
         seed_base: Option<u64>,
     ) -> (Vec<ChamberReport>, PoolTrace) {
+        self.pool_for(cap, exec)
+            .run_all_traced_seeded(program, views, seed_base)
+    }
+
+    /// The runtime's query path: like
+    /// [`ComputationManager::execute_blocks_planned`], but the `blocks`
+    /// blocks come from `plan`, which runs on the calling thread and
+    /// publishes each one as soon as it is final while the pool's
+    /// helpers already run chambers (see [`ChamberPool::run_planned`]).
+    pub fn execute_while_planning<P>(
+        &self,
+        program: &Arc<dyn BlockProgram>,
+        blocks: usize,
+        cap: Option<Duration>,
+        exec: Option<&ExecutionPolicy>,
+        seed_base: Option<u64>,
+        plan: P,
+    ) -> (Vec<ChamberReport>, PoolTrace)
+    where
+        P: FnOnce(&mut BlockSink<'_>),
+    {
+        self.pool_for(cap, exec)
+            .run_planned(program, blocks, seed_base, plan)
+    }
+
+    /// The pool one query runs on: the per-query execution policy, if it
+    /// differs, and `cap` as the chamber budget when the policy has none.
+    fn pool_for(&self, cap: Option<Duration>, exec: Option<&ExecutionPolicy>) -> ChamberPool {
         let mut pool = match exec {
             Some(exec) if exec != self.pool.execution() => {
                 self.pool.with_execution_policy(exec.clone())
@@ -153,7 +181,7 @@ impl ComputationManager {
                 pool = pool.with_policy(policy);
             }
         }
-        pool.run_all_traced_seeded(program, views, seed_base)
+        pool
     }
 
     /// Runs `program` once over an entire row store (used on aged,

@@ -77,7 +77,10 @@ pub use aggregator::Aggregator;
 pub use aging::{aged_block_stats, AgedBlockStats};
 pub use batch::BatchAnswer;
 pub use block_size::{optimal_block_size, BlockSizeChoice};
-pub use blocks::{default_block_size, partition, partition_grouped, partition_range, BlockPlan};
+pub use blocks::{
+    block_count, default_block_size, partition, partition_grouped, partition_range,
+    partition_range_with, BlockPlan,
+};
 pub use budget_distribution::{distribute_budget, QueryNoiseProfile};
 pub use budget_estimator::{estimate_epsilon, AccuracyGoal, TailBound};
 pub use cache::{

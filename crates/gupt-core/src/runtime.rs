@@ -10,7 +10,8 @@
 //! 3. **Block planning** — default `β = n^0.6`, a fixed β, or the §4.3
 //!    aged-data optimum; γ-fold resampling (§4.2).
 //! 4. **Chambered execution** — every block runs in its own isolated
-//!    chamber, in parallel (§6).
+//!    chamber, in parallel (§6), starting as soon as the shuffle of
+//!    step 3 makes the block final.
 //! 5. **Range resolution** — GUPT-tight / GUPT-loose / GUPT-helper, with
 //!    the Theorem 1 budget split across input/output dimensions.
 //! 6. **Aggregation** — clamp, average, Laplace noise (Algorithm 1).
@@ -37,7 +38,9 @@
 //! admission-controlled front door.
 
 use crate::aggregator::aggregate;
-use crate::blocks::{default_block_size, partition, partition_grouped, partition_range};
+use crate::blocks::{
+    block_count, default_block_size, partition_grouped, partition_range_with, BlockPlan,
+};
 use crate::budget_estimator::{estimate_epsilon, AccuracyGoal};
 use crate::cache::{AnswerCache, CacheStats, QueryFingerprint, DEFAULT_CACHE_CAPACITY};
 use crate::computation_manager::{ComputationManager, ExecutionSummary};
@@ -57,7 +60,8 @@ use crate::telemetry::{
     IngestTelemetry, LedgerEvent, QueryTelemetry, Stage, StreamTelemetry, TelemetryReport,
 };
 use gupt_dp::{Epsilon, OutputRange};
-use gupt_sandbox::{ChamberPolicy, ExecutionPolicy};
+use gupt_sandbox::view::{BlockView, RowStore};
+use gupt_sandbox::{ChamberPolicy, ExecutionPolicy, PoolTrace};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -791,10 +795,10 @@ impl GuptRuntime {
             }
         };
 
-        // Block-size resolution is the first half of block planning; the
-        // partition/materialize half runs after the ledger charge, and
-        // both segments report as one `BlockPlanning` stage.
-        let planning_head = stage_start.elapsed();
+        // Block-size resolution is the first segment of block planning;
+        // the draw runs after the ledger charge, and every segment
+        // reports as one `BlockPlanning` stage.
+        tel.record_stage(Stage::BlockPlanning, stage_start.elapsed());
 
         // --- 1. Budget resolution. -------------------------------------
         let stage_start = Instant::now();
@@ -825,32 +829,25 @@ impl GuptRuntime {
 
         // --- 4. Partition + chambered execution. -----------------------
         // User-level privacy (§8.1): group-atomic partitioning when the
-        // owner declared a group column.
+        // owner declared a group column, drawn in full up front.
         let stage_start = Instant::now();
-        let plan = match ds.groups() {
-            Some(groups) => partition_grouped(&groups, block_size, spec.gamma(), &mut rng),
-            None => partition(n, block_size, spec.gamma(), &mut rng),
+        let source = match ds.groups() {
+            Some(groups) => BlockSource::Drawn(partition_grouped(
+                &groups,
+                block_size,
+                spec.gamma(),
+                &mut rng,
+            )),
+            None => BlockSource::Range {
+                start: 0,
+                end: n,
+                block_size,
+            },
         };
-        // Zero-copy block prep: views share the query's captured row
-        // store (the registered rows plus any deltas appended before the
-        // capture), so the only bytes "materialised" here are the plan's
-        // index lists — O(total indices), independent of γ·row-bytes.
-        let views = plan.views(ds.store());
-        tel.record_block_prep(views.len(), plan.index_bytes());
-        tel.record_stage(Stage::BlockPlanning, planning_head + stage_start.elapsed());
-
-        let stage_start = Instant::now();
-        let (reports, trace) = self.computation.execute_blocks_planned(
-            &spec.program,
-            views,
-            exec_cap,
-            spec.execution.as_ref(),
-            Some(query_seed),
-        );
-        tel.record_stage(Stage::ChamberExecution, stage_start.elapsed());
-        let execution = ExecutionSummary::from_reports(&reports);
-        tel.record_blocks(&execution, &trace);
-        let outputs: Vec<Vec<f64>> = reports.into_iter().map(|r| r.output).collect();
+        tel.record_stage(Stage::BlockPlanning, stage_start.elapsed());
+        let run = self.plan_and_execute(ds.store(), source, &spec, exec_cap, query_seed, &mut rng);
+        run.record(&mut tel);
+        let outputs = run.outputs;
 
         // --- 5. Range resolution with the Theorem 1 split. -------------
         let stage_start = Instant::now();
@@ -888,7 +885,7 @@ impl GuptRuntime {
             spec.aggregation_strategy(),
             &outputs,
             &ranges,
-            plan.gamma(),
+            run.plan.gamma(),
             eps_per_dim,
             &mut rng,
         )?;
@@ -898,10 +895,10 @@ impl GuptRuntime {
             values,
             epsilon_spent: eps_total.value(),
             block_size,
-            num_blocks: plan.num_blocks(),
-            gamma: plan.gamma(),
+            num_blocks: run.plan.num_blocks(),
+            gamma: run.plan.gamma(),
             ranges,
-            execution,
+            execution: run.execution,
             telemetry: None,
         };
 
@@ -1157,23 +1154,15 @@ impl GuptRuntime {
             BlockSizeSpec::Fixed(b) => b.clamp(1, wlen),
             _ => default_block_size(wlen),
         };
-        let plan = partition_range(start, end, block_size, sub.spec.gamma(), &mut rng);
-        let views = plan.views(ds.store());
-        tel.record_block_prep(views.len(), plan.index_bytes());
         tel.record_stage(Stage::BlockPlanning, stage_start.elapsed());
-
-        let stage_start = Instant::now();
-        let (reports, trace) = self.computation.execute_blocks_planned(
-            &sub.spec.program,
-            views,
-            None,
-            sub.spec.execution.as_ref(),
-            Some(query_seed),
-        );
-        tel.record_stage(Stage::ChamberExecution, stage_start.elapsed());
-        let execution = ExecutionSummary::from_reports(&reports);
-        tel.record_blocks(&execution, &trace);
-        let outputs: Vec<Vec<f64>> = reports.into_iter().map(|r| r.output).collect();
+        let source = BlockSource::Range {
+            start,
+            end,
+            block_size,
+        };
+        let run = self.plan_and_execute(ds.store(), source, &sub.spec, None, query_seed, &mut rng);
+        run.record(&mut tel);
+        let outputs = run.outputs;
 
         let stage_start = Instant::now();
         let (ranges, eps_per_dim) = match &mode {
@@ -1202,7 +1191,7 @@ impl GuptRuntime {
             sub.spec.aggregation_strategy(),
             &outputs,
             &ranges,
-            plan.gamma(),
+            run.plan.gamma(),
             eps_per_dim,
             &mut rng,
         )?;
@@ -1212,10 +1201,10 @@ impl GuptRuntime {
             values,
             epsilon_spent: eps.value(),
             block_size,
-            num_blocks: plan.num_blocks(),
-            gamma: plan.gamma(),
+            num_blocks: run.plan.num_blocks(),
+            gamma: run.plan.gamma(),
             ranges,
-            execution,
+            execution: run.execution,
             telemetry: None,
         };
 
@@ -1272,6 +1261,119 @@ impl GuptRuntime {
                 .fetch_add(aged as u64, Ordering::Relaxed);
         }
         Ok(aged)
+    }
+}
+
+/// Where one query's blocks come from.
+enum BlockSource {
+    /// Records `start..end` of the store, cut into blocks of
+    /// `block_size` as the shuffle finalizes them.
+    Range {
+        start: usize,
+        end: usize,
+        block_size: usize,
+    },
+    /// A plan drawn in full before dispatch (the group-atomic plan of
+    /// user-level privacy, §8.1), published all at once.
+    Drawn(BlockPlan),
+}
+
+/// What a query keeps of its block plan and chamber run.
+struct ChamberRun {
+    /// Chamber outputs in block order.
+    outputs: Vec<Vec<f64>>,
+    execution: ExecutionSummary,
+    plan: BlockPlan,
+    trace: PoolTrace,
+    /// The draw on the calling thread.
+    drawing: Duration,
+    /// From the end of the draw to the last report.
+    chambers: Duration,
+}
+
+impl ChamberRun {
+    /// Records the run's data-plane counters, its two stages and the
+    /// pool trace.
+    fn record(&self, tel: &mut QueryTelemetry) {
+        tel.record_block_prep(self.plan.num_blocks(), self.plan.index_bytes());
+        tel.record_stage(Stage::BlockPlanning, self.drawing);
+        tel.record_stage(Stage::ChamberExecution, self.chambers);
+        tel.record_blocks(&self.execution, &self.trace);
+    }
+}
+
+impl GuptRuntime {
+    /// Draws the query's block plan on the calling thread and runs a
+    /// chamber on each block as soon as the shuffle makes it final (see
+    /// [`gupt_sandbox::ChamberPool::run_planned`]). The draw consumes
+    /// `rng` exactly as a plain [`crate::blocks::partition_range`] would,
+    /// chamber `i` is seeded from `(query_seed, i)` and outputs come
+    /// back in block order, so the answer does not depend on the pool
+    /// width or on when a block ran.
+    ///
+    /// Views share the query's captured row store (the registered rows
+    /// plus any deltas appended before the capture), so the only bytes
+    /// "materialised" are the plan's index lists — O(total indices),
+    /// independent of γ·row-bytes.
+    fn plan_and_execute(
+        &self,
+        store: &Arc<RowStore>,
+        source: BlockSource,
+        spec: &QuerySpec,
+        exec_cap: Option<Duration>,
+        query_seed: u64,
+        rng: &mut StdRng,
+    ) -> ChamberRun {
+        let blocks = match &source {
+            BlockSource::Range {
+                start,
+                end,
+                block_size,
+            } => block_count(end.saturating_sub(*start), *block_size, spec.gamma()),
+            BlockSource::Drawn(plan) => plan.num_blocks(),
+        };
+        let mut drawn = None;
+        let dispatch_start = Instant::now();
+        let (reports, trace) = self.computation.execute_while_planning(
+            &spec.program,
+            blocks,
+            exec_cap,
+            spec.execution.as_ref(),
+            Some(query_seed),
+            |sink| {
+                let started = Instant::now();
+                let mut publish = |i: usize, idx: &Arc<[usize]>| {
+                    sink.publish(i, BlockView::sparse(Arc::clone(store), Arc::clone(idx)));
+                };
+                let plan = match source {
+                    BlockSource::Range {
+                        start,
+                        end,
+                        block_size,
+                    } => partition_range_with(start, end, block_size, spec.gamma(), rng, publish),
+                    BlockSource::Drawn(plan) => {
+                        for (i, idx) in plan.blocks().iter().enumerate() {
+                            publish(i, idx);
+                        }
+                        plan
+                    }
+                };
+                drawn = Some((plan, started.elapsed(), Instant::now()));
+            },
+        );
+        let (plan, drawing, drawn_at) = drawn.expect("the planner runs in every dispatch");
+        ChamberRun {
+            // From the end of the draw to the last report, on the pool's
+            // clock: never more than the dispatch's wall time.
+            chambers: trace
+                .wall
+                .saturating_sub(drawn_at.duration_since(dispatch_start)),
+            execution: ExecutionSummary::from_reports(&reports),
+            outputs: reports.into_iter().map(|r| r.output).collect(),
+            plan,
+            trace,
+            drawing,
+        }
     }
 }
 
@@ -1452,6 +1554,46 @@ mod tests {
             .seed(42)
             .execution(ExecutionPolicy::parallel(4))
             .build()
+    }
+
+    #[test]
+    fn traced_cold_query_stages_are_disjoint() {
+        // The plan is drawn while chambers already run, yet the stages
+        // stay disjoint: planning is the draw on the caller, chamber
+        // execution runs from the end of the draw to the last report,
+        // and the pool's wall covers the whole dispatch.
+        for policy in [ExecutionPolicy::sequential(), ExecutionPolicy::parallel(2)] {
+            let rt = GuptRuntimeBuilder::new()
+                .register_dataset("ages", age_rows(20_000), eps(10.0))
+                .unwrap()
+                .seed(11)
+                .execution(policy.clone())
+                .build();
+            let spec = mean_spec()
+                .epsilon(eps(1.0))
+                .range_estimation(RangeEstimation::Tight(vec![range(0.0, 100.0)]))
+                .collect_telemetry();
+            let report = rt
+                .run("ages", spec)
+                .unwrap()
+                .telemetry
+                .expect("telemetry on");
+            let planning = report.stage(Stage::BlockPlanning).expect("blocks planned");
+            let chambers = report.stage(Stage::ChamberExecution).expect("chambers ran");
+            assert!(planning > Duration::ZERO, "{policy:?}");
+            let stages: Duration = report.stages.iter().map(|s| s.duration).sum();
+            assert!(
+                stages <= report.total,
+                "{policy:?}: {stages:?} > {:?}",
+                report.total
+            );
+            assert!(
+                report.parallel.wall_ms >= chambers.as_secs_f64() * 1e3,
+                "{policy:?}: wall {} ms < chamber stage {chambers:?}",
+                report.parallel.wall_ms
+            );
+            assert_eq!(report.blocks.views_served, report.blocks.run);
+        }
     }
 
     #[test]

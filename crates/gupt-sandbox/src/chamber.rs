@@ -11,8 +11,12 @@
 //! [`ExecutionPolicy`]. Blocks are bundled into contiguous chunks, each
 //! worker drains its own deque, and idle workers steal chunks from busy
 //! peers — so one slow chamber (a hostile program burning its budget,
-//! say) cannot strand the rest of the fan-out behind it. Two properties
-//! make the parallelism invisible to answers:
+//! say) cannot strand the rest of the fan-out behind it. With
+//! [`ChamberPool::run_planned`] the pool starts before the block plan is
+//! complete: the caller draws the plan and publishes each block the
+//! moment it is final, helper workers run chambers on the published
+//! blocks meanwhile, and the caller joins them once the draw is done.
+//! Two properties make the parallelism invisible to answers:
 //!
 //! - **Seeds split before fan-out.** Chamber `i`'s RNG seed is a pure
 //!   function of (query seed, `i`) derived by [`crate::exec::chamber_seed`]
@@ -31,9 +35,10 @@ use crate::policy::ChamberPolicy;
 use crate::program::BlockProgram;
 use crate::scratch::Scratch;
 use crate::view::BlockView;
+use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How a chamber invocation ended.
@@ -217,16 +222,20 @@ fn normalize_arity(out: &mut Vec<f64>, dim: usize, fill: f64) {
     }
 }
 
-/// Execution trace of one [`ChamberPool::run_all_traced`] call, for
-/// operator telemetry. Worker busy times depend on the private data
-/// (unless a padding policy is in force) and are **not** ε-protected.
+/// Execution trace of one [`ChamberPool::run_all_traced`] or
+/// [`ChamberPool::run_planned`] call, for operator telemetry. Worker
+/// busy times depend on the private data (unless a padding policy is in
+/// force) and are **not** ε-protected.
 #[derive(Debug, Clone, Default)]
 pub struct PoolTrace {
-    /// Wall clock of the whole dispatch.
+    /// Wall clock of the whole dispatch, including any plan drawn while
+    /// the chambers ran.
     pub wall: Duration,
-    /// Worker threads actually used (`min(workers, tasks)`).
+    /// Worker threads actually used (`min(workers, tasks)`), the calling
+    /// thread included.
     pub workers_used: usize,
-    /// Per-worker time spent inside chambers (unordered).
+    /// Per-worker time spent inside chambers (unordered). The caller's
+    /// entry excludes the time it spent drawing the plan.
     pub busy: Vec<Duration>,
     /// Task chunks taken from a peer's deque rather than the worker's
     /// own — the load-balancing traffic of the work-stealing scheduler.
@@ -256,6 +265,129 @@ impl PoolTrace {
 /// keep deque traffic off the per-block fast path while leaving enough
 /// granularity for thieves to balance uneven chambers.
 type Task = std::ops::Range<usize>;
+
+/// Idle sweeps a worker spins through before it starts yielding its
+/// core to the thread drawing the plan.
+const SPINS_BEFORE_YIELD: u32 = 64;
+
+/// Where a [`ChamberPool::run_planned`] planner publishes its blocks.
+pub struct BlockSink<'a> {
+    slots: &'a [OnceLock<BlockView>],
+    /// The queue idle workers take published blocks from; `None` when
+    /// no worker runs until the plan is complete.
+    injector: Option<&'a Injector<Task>>,
+}
+
+impl BlockSink<'_> {
+    /// Hands block `index` to the chambers. A worker may start on it
+    /// before this returns; publishing takes a lock, never a system call
+    /// on the uncontended path.
+    ///
+    /// Panics when `index` is out of range or was already published.
+    pub fn publish(&mut self, index: usize, view: BlockView) {
+        assert!(
+            self.slots[index].set(view).is_ok(),
+            "block {index} published twice"
+        );
+        if let Some(injector) = self.injector {
+            injector.push(index..index + 1);
+        }
+    }
+}
+
+/// Ends the plan when dropped — also when the planner panics, so idle
+/// workers drain what was published and exit instead of waiting for
+/// blocks that will never come.
+struct EndOfPlan<'a>(&'a AtomicBool);
+
+impl Drop for EndOfPlan<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
+    }
+}
+
+/// What every worker of one parallel dispatch shares.
+struct Dispatch<'a> {
+    program: &'a Arc<dyn BlockProgram>,
+    policy: &'a ChamberPolicy,
+    seed_base: Option<u64>,
+    views: &'a [OnceLock<BlockView>],
+    reports: &'a [OnceLock<ChamberReport>],
+    injector: &'a Injector<Task>,
+    stealers: &'a [Stealer<Task>],
+    /// Set while the planner may still publish blocks. Cleared with
+    /// `Release` after the last push; a worker that reads it clear with
+    /// `Acquire` before a sweep sees every published task in that sweep.
+    planning: &'a AtomicBool,
+    steals: &'a AtomicU64,
+}
+
+impl Dispatch<'_> {
+    /// One worker: run chambers until no task is left anywhere and no
+    /// more can be published. Returns the time spent inside chambers.
+    fn work(&self, id: usize, own: &Worker<Task>) -> Duration {
+        let chamber = Chamber::new(self.policy.clone());
+        let mut busy = Duration::ZERO;
+        let mut idle = 0u32;
+        loop {
+            let planning = self.planning.load(Ordering::Acquire);
+            match self.next_task(id, own) {
+                Some(task) => {
+                    idle = 0;
+                    for i in task {
+                        let view = self.views[i].get().expect("queued blocks are published");
+                        let seed = self.seed_base.map(|b| chamber_seed(b, i as u64));
+                        let report =
+                            chamber.execute_seeded(Arc::clone(self.program), view.clone(), seed);
+                        busy += report.elapsed;
+                        assert!(self.reports[i].set(report).is_ok(), "block {i} ran twice");
+                    }
+                }
+                // Nothing queued and nothing more to come.
+                None if !planning => break,
+                None if idle < SPINS_BEFORE_YIELD => {
+                    idle += 1;
+                    std::hint::spin_loop();
+                }
+                None => std::thread::yield_now(),
+            }
+        }
+        busy
+    }
+
+    /// The next task: from the worker's own deque, then the injector,
+    /// then a peer's deque. `None` after a sweep that found every queue
+    /// empty.
+    fn next_task(&self, id: usize, own: &Worker<Task>) -> Option<Task> {
+        if let Some(task) = own.pop() {
+            return Some(task);
+        }
+        loop {
+            let mut retry = false;
+            match self.injector.steal_batch_and_pop(own) {
+                Steal::Success(task) => return Some(task),
+                Steal::Retry => retry = true,
+                Steal::Empty => {}
+            }
+            for (peer, stealer) in self.stealers.iter().enumerate() {
+                if peer == id {
+                    continue;
+                }
+                match stealer.steal() {
+                    Steal::Success(task) => {
+                        self.steals.fetch_add(1, Ordering::Relaxed);
+                        return Some(task);
+                    }
+                    Steal::Retry => retry = true,
+                    Steal::Empty => {}
+                }
+            }
+            if !retry {
+                return None;
+            }
+        }
+    }
+}
 
 /// A pool of chambers executing many blocks in parallel under an
 /// [`ExecutionPolicy`], via work-stealing deques.
@@ -343,40 +475,97 @@ impl ChamberPool {
         self.run_all_traced_seeded(program, views, None)
     }
 
-    /// The full-featured dispatch: optionally threads a per-query seed
-    /// base through to the chambers (chamber `i` receives
+    /// Like [`ChamberPool::run_all_traced`], optionally threading a
+    /// per-query seed base through to the chambers (chamber `i` receives
     /// [`chamber_seed`]`(base, i)` via its scratch space).
     ///
-    /// Workers claim chunks of views by index and clone each view — an
-    /// O(1) pair of `Arc` bumps, never a row copy — so shipping work to
-    /// the pool costs the same regardless of γ or dataset size. Reports
-    /// land in per-block slots and are returned in block order: the
-    /// deterministic reduce that, together with pre-split seeds, makes
-    /// answers bit-identical to sequential execution.
+    /// Every view is published before any worker starts, chunked and
+    /// dealt round-robin onto the workers' deques; idle workers steal
+    /// from busy peers. Workers clone each view — an O(1) pair of `Arc`
+    /// bumps, never a row copy — so shipping work to the pool costs the
+    /// same regardless of γ or dataset size.
     pub fn run_all_traced_seeded(
         &self,
         program: &Arc<dyn BlockProgram>,
         views: Vec<BlockView>,
         seed_base: Option<u64>,
     ) -> (Vec<ChamberReport>, PoolTrace) {
+        let slots = views.into_iter().map(OnceLock::from).collect();
+        self.dispatch(program, slots, seed_base, None::<fn(&mut BlockSink<'_>)>)
+    }
+
+    /// Runs `program` on `blocks` blocks that `plan` publishes, on the
+    /// calling thread, while the pool is already running chambers on the
+    /// ones published so far.
+    ///
+    /// The `workers − 1` helper threads start before `plan` runs, so
+    /// their start-up hides under it; they take published blocks from a
+    /// shared queue, spinning a bounded number of times and then
+    /// yielding while it is empty. When `plan` returns, the caller works
+    /// too. A one-worker pool runs `plan` first and then every chamber
+    /// inline, in index order, on no thread of its own.
+    ///
+    /// Answers do not depend on when a block is published or which
+    /// worker runs it: chamber `i` is seeded with [`chamber_seed`]`(base,
+    /// i)` and its report lands in slot `i`. `plan` must publish each
+    /// index in `0..blocks` exactly once; if it panics, the workers
+    /// finish what was published and the panic propagates.
+    pub fn run_planned<P>(
+        &self,
+        program: &Arc<dyn BlockProgram>,
+        blocks: usize,
+        seed_base: Option<u64>,
+        plan: P,
+    ) -> (Vec<ChamberReport>, PoolTrace)
+    where
+        P: FnOnce(&mut BlockSink<'_>),
+    {
+        let slots = (0..blocks).map(|_| OnceLock::new()).collect();
+        self.dispatch(program, slots, seed_base, Some(plan))
+    }
+
+    /// The one dispatch behind [`ChamberPool::run_all_traced_seeded`]
+    /// (every view in `views` already, `plan` is `None`) and
+    /// [`ChamberPool::run_planned`] (empty slots that `plan` fills).
+    /// Reports land in per-block slots and are returned in block order:
+    /// the index-ordered reduce that, together with pre-split seeds,
+    /// makes answers bit-identical to sequential execution.
+    fn dispatch<P>(
+        &self,
+        program: &Arc<dyn BlockProgram>,
+        views: Vec<OnceLock<BlockView>>,
+        seed_base: Option<u64>,
+        plan: Option<P>,
+    ) -> (Vec<ChamberReport>, PoolTrace)
+    where
+        P: FnOnce(&mut BlockSink<'_>),
+    {
         let n = views.len();
-        if n == 0 {
-            return (Vec::new(), PoolTrace::default());
-        }
         let start = Instant::now();
         let workers_used = self.workers.min(n);
 
-        // Sequential fast path: one worker (or one block) runs inline on
-        // the calling thread — no spawns, no deques, no slot locking.
-        // This keeps single-threaded policies (latency-sensitive serve
-        // paths, determinism baselines) free of scheduler overhead.
-        if workers_used == 1 {
+        // Sequential path: one worker (or at most one block) plans
+        // first, then runs inline on the calling thread — no spawns, no
+        // deques, no slot locking. This keeps single-threaded policies
+        // (latency-sensitive serve paths, determinism baselines) free of
+        // scheduler overhead.
+        if workers_used <= 1 {
+            if let Some(plan) = plan {
+                plan(&mut BlockSink {
+                    slots: &views,
+                    injector: None,
+                });
+            }
+            if n == 0 {
+                return (Vec::new(), PoolTrace::default());
+            }
             let chamber = Chamber::new(self.policy.clone());
             let mut busy = Duration::ZERO;
             let reports: Vec<ChamberReport> = views
                 .into_iter()
                 .enumerate()
                 .map(|(i, view)| {
+                    let view = view.into_inner().expect("planner published every block");
                     let seed = seed_base.map(|b| chamber_seed(b, i as u64));
                     let report = chamber.execute_seeded(Arc::clone(program), view, seed);
                     busy += report.elapsed;
@@ -392,95 +581,70 @@ impl ChamberPool {
             return (reports, trace);
         }
 
-        let chunk = self.exec.chunk_for(n, workers_used);
-        // Pre-split the index space into chunks and deal them round-robin
-        // onto per-worker deques: every worker starts with local work and
-        // only touches a peer's deque when its own runs dry.
-        let local: Vec<crossbeam::deque::Worker<Task>> = (0..workers_used)
-            .map(|_| crossbeam::deque::Worker::new_fifo())
-            .collect();
-        let stealers: Vec<crossbeam::deque::Stealer<Task>> = local
-            .iter()
-            .map(crossbeam::deque::Worker::stealer)
-            .collect();
-        for (t, task_start) in (0..n).step_by(chunk).enumerate() {
-            local[t % workers_used].push(task_start..(task_start + chunk).min(n));
+        let mut local: Vec<Worker<Task>> = (0..workers_used).map(|_| Worker::new_fifo()).collect();
+        let stealers: Vec<Stealer<Task>> = local.iter().map(Worker::stealer).collect();
+        if plan.is_none() {
+            // Pre-split the index space into chunks and deal them
+            // round-robin onto per-worker deques: every worker starts
+            // with local work and only touches a peer's deque when its
+            // own runs dry.
+            let chunk = self.exec.chunk_for(n, workers_used);
+            for (t, task_start) in (0..n).step_by(chunk).enumerate() {
+                local[t % workers_used].push(task_start..(task_start + chunk).min(n));
+            }
         }
-
-        let slots: Vec<Mutex<Option<ChamberReport>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let busy: Vec<Mutex<Duration>> = (0..workers_used)
-            .map(|_| Mutex::new(Duration::ZERO))
-            .collect();
+        let reports: Vec<OnceLock<ChamberReport>> = (0..n).map(|_| OnceLock::new()).collect();
+        let injector = Injector::new();
+        let planning = AtomicBool::new(plan.is_some());
         let steals = AtomicU64::new(0);
+        let shared = Dispatch {
+            program,
+            policy: &self.policy,
+            seed_base,
+            views: &views,
+            reports: &reports,
+            injector: &injector,
+            stealers: &stealers,
+            planning: &planning,
+            steals: &steals,
+        };
 
-        crossbeam::thread::scope(|scope| {
-            let (views, slots, stealers, steals) = (&views, &slots, &stealers, &steals);
-            for (id, (queue, busy_slot)) in local.into_iter().zip(&busy).enumerate() {
-                scope.spawn(move |_| {
-                    let chamber = Chamber::new(self.policy.clone());
-                    let mut my_busy = Duration::ZERO;
-                    let mut run_task = |task: Task| {
-                        for i in task {
-                            let seed = seed_base.map(|b| chamber_seed(b, i as u64));
-                            let report =
-                                chamber.execute_seeded(Arc::clone(program), views[i].clone(), seed);
-                            my_busy += report.elapsed;
-                            *slots[i].lock().expect("report slot poisoned") = Some(report);
-                        }
-                    };
-                    // Drain local work first, then become a thief:
-                    // sweep the peers' deques until a full pass finds
-                    // them all empty (no tasks are produced after
-                    // start-up, so an all-empty pass is terminal).
-                    while let Some(task) = queue.pop() {
-                        run_task(task);
-                    }
-                    loop {
-                        let mut all_empty = true;
-                        for (peer, stealer) in stealers.iter().enumerate() {
-                            if peer == id {
-                                continue;
-                            }
-                            loop {
-                                match stealer.steal() {
-                                    crossbeam::deque::Steal::Success(task) => {
-                                        all_empty = false;
-                                        steals.fetch_add(1, Ordering::Relaxed);
-                                        run_task(task);
-                                    }
-                                    crossbeam::deque::Steal::Empty => break,
-                                    crossbeam::deque::Steal::Retry => {
-                                        all_empty = false;
-                                    }
-                                }
-                            }
-                        }
-                        if all_empty {
-                            break;
-                        }
-                    }
-                    *busy_slot.lock().expect("busy slot poisoned") = my_busy;
+        // The caller is worker 0; the helpers start before the plan.
+        let own = local.remove(0);
+        let busy: Vec<Duration> = crossbeam::thread::scope(|scope| {
+            let shared = &shared;
+            let helpers: Vec<_> = local
+                .into_iter()
+                .enumerate()
+                .map(|(k, queue)| scope.spawn(move |_| shared.work(k + 1, &queue)))
+                .collect();
+            if let Some(plan) = plan {
+                let _end = EndOfPlan(&planning);
+                plan(&mut BlockSink {
+                    slots: &views,
+                    injector: Some(&injector),
                 });
             }
+            let mine = shared.work(0, &own);
+            std::iter::once(mine)
+                .chain(
+                    helpers
+                        .into_iter()
+                        .map(|h| h.join().expect("chamber pool worker panicked")),
+                )
+                .collect()
         })
         .expect("chamber pool worker panicked");
 
         let trace = PoolTrace {
             wall: start.elapsed(),
             workers_used,
-            busy: busy
-                .into_iter()
-                .map(|m| m.into_inner().expect("busy slot poisoned"))
-                .collect(),
+            busy,
             steals: steals.into_inner(),
         };
-        let reports = slots
+        let reports = reports
             .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("report slot poisoned")
-                    .expect("worker left a block unprocessed")
-            })
+            .map(|r| r.into_inner().expect("planner published every block"))
             .collect();
         (reports, trace)
     }
@@ -490,6 +654,7 @@ impl ChamberPool {
 mod tests {
     use super::*;
     use crate::program::ClosureProgram;
+    use std::sync::Mutex;
 
     fn sum_program() -> Arc<dyn BlockProgram> {
         Arc::new(ClosureProgram::new(1, |block: &BlockView| {
@@ -823,9 +988,188 @@ mod tests {
                 .map(|r| r.output[0].to_bits())
                 .collect()
         };
+        // The same blocks published one at a time, last first, while
+        // the pool is already running.
+        let run_planned = |threads: usize| -> Vec<u64> {
+            let pool = ChamberPool::with_execution(
+                ChamberPolicy::unbounded(),
+                ExecutionPolicy::parallel(threads).chunk(1),
+            );
+            let mut views = views();
+            pool.run_planned(&p, views.len(), Some(0xDEAD_BEEF), |sink| {
+                while let Some(view) = views.pop() {
+                    sink.publish(views.len(), view);
+                }
+            })
+            .0
+            .into_iter()
+            .map(|r| r.output[0].to_bits())
+            .collect()
+        };
         let sequential = run(1);
         assert_eq!(sequential, run(2));
         assert_eq!(sequential, run(8));
+        for threads in [1, 2, 8] {
+            assert_eq!(
+                sequential,
+                run_planned(threads),
+                "planned, {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn planned_dispatch_accepts_blocks_in_reverse_order() {
+        for threads in [2, 4] {
+            let pool = ChamberPool::new(ChamberPolicy::unbounded(), threads);
+            let (reports, trace) = pool.run_planned(&sum_program(), 33, None, |sink| {
+                for i in (0..33).rev() {
+                    sink.publish(i, view(&[vec![i as f64]]));
+                }
+            });
+            assert_eq!(reports.len(), 33);
+            for (i, r) in reports.iter().enumerate() {
+                assert_eq!(r.output, vec![i as f64], "{threads} threads, block {i}");
+            }
+            assert_eq!(trace.workers_used, threads);
+            assert_eq!(trace.busy.len(), threads);
+        }
+    }
+
+    #[test]
+    fn helpers_run_published_blocks_while_the_plan_is_drawn() {
+        // The planner publishes block 0 and then refuses to go on until
+        // a chamber has run it: only a helper started before the plan
+        // can, so the overlap is forced, not timed.
+        let ran = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let flag = Arc::clone(&ran);
+        let p: Arc<dyn BlockProgram> = Arc::new(ClosureProgram::new(1, move |b: &BlockView| {
+            flag.store(true, Ordering::SeqCst);
+            vec![b.row(0)[0]]
+        }));
+        let pool = ChamberPool::new(ChamberPolicy::unbounded(), 2);
+        let (reports, _) = pool.run_planned(&p, 4, None, |sink| {
+            sink.publish(0, view(&[vec![0.0]]));
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !ran.load(Ordering::SeqCst) {
+                assert!(
+                    Instant::now() < deadline,
+                    "no helper ran the published block"
+                );
+                std::thread::yield_now();
+            }
+            for i in 1..4 {
+                sink.publish(i, view(&[vec![i as f64]]));
+            }
+        });
+        let outputs: Vec<f64> = reports.iter().map(|r| r.output[0]).collect();
+        assert_eq!(outputs, vec![0.0, 1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn planned_dispatch_contains_failures_while_the_draw_continues() {
+        // Block 3 panics and block 5 overruns its budget; the planner
+        // keeps publishing after both were handed out.
+        let p: Arc<dyn BlockProgram> = Arc::new(ClosureProgram::new(1, |b: &BlockView| {
+            let v = b.row(0)[0];
+            assert!(v != 3.0, "hostile trigger");
+            if v == 5.0 {
+                std::thread::sleep(Duration::from_secs(5));
+            }
+            vec![v]
+        }));
+        let policy = ChamberPolicy::bounded(Duration::from_millis(50), -1.0).without_padding();
+        let pool = ChamberPool::new(policy, 2);
+        let (reports, _) = pool.run_planned(&p, 8, None, |sink| {
+            for i in 0..8 {
+                sink.publish(i, view(&[vec![i as f64]]));
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        });
+        for (i, r) in reports.iter().enumerate() {
+            let (outcome, output) = match i {
+                3 => (ChamberOutcome::Panicked, -1.0),
+                5 => (ChamberOutcome::TimedOut, -1.0),
+                _ => (ChamberOutcome::Completed, i as f64),
+            };
+            assert_eq!((r.outcome, r.output[0]), (outcome, output), "block {i}");
+        }
+    }
+
+    #[test]
+    fn planned_dispatch_of_zero_and_one_block() {
+        let pool = ChamberPool::new(ChamberPolicy::unbounded(), 4);
+        let mut planned = false;
+        let (reports, trace) = pool.run_planned(&sum_program(), 0, None, |_| planned = true);
+        assert!(planned, "the planner runs even with nothing to publish");
+        assert!(reports.is_empty());
+        assert_eq!(trace.workers_used, 0);
+
+        let (reports, trace) = pool.run_planned(&sum_program(), 1, Some(7), |sink| {
+            sink.publish(0, view(&[vec![2.0], vec![3.0]]));
+        });
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].output, vec![5.0]);
+        assert_eq!(trace.workers_used, 1, "one block runs inline");
+    }
+
+    #[test]
+    fn sequential_planned_dispatch_stays_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let threads = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&threads);
+        let p: Arc<dyn BlockProgram> = Arc::new(ClosureProgram::new(1, move |_: &BlockView| {
+            seen.lock().unwrap().push(std::thread::current().id());
+            vec![1.0]
+        }));
+        let pool =
+            ChamberPool::with_execution(ChamberPolicy::unbounded(), ExecutionPolicy::sequential());
+        let (reports, trace) = pool.run_planned(&p, 6, None, |sink| {
+            for i in (0..6).rev() {
+                sink.publish(i, view(&[vec![i as f64]]));
+            }
+            assert!(
+                threads.lock().unwrap().is_empty(),
+                "chambers wait for the plan"
+            );
+        });
+        assert_eq!(reports.len(), 6);
+        assert_eq!(trace.workers_used, 1);
+        assert!(threads.lock().unwrap().iter().all(|&t| t == caller));
+    }
+
+    #[test]
+    fn planner_panic_propagates_instead_of_hanging() {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let result = catch_unwind(|| {
+                let pool = ChamberPool::new(ChamberPolicy::unbounded(), 2);
+                pool.run_planned(&sum_program(), 10, None, |sink| {
+                    for i in 0..4 {
+                        sink.publish(i, view(&[vec![i as f64]]));
+                    }
+                    panic!("planner failed mid-plan");
+                })
+            });
+            let message = result
+                .err()
+                .and_then(|e| e.downcast_ref::<&str>().map(|s| s.to_string()));
+            let _ = tx.send(message);
+        });
+        let message = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("dispatch hung after its planner panicked");
+        assert_eq!(message.as_deref(), Some("planner failed mid-plan"));
+    }
+
+    #[test]
+    #[should_panic(expected = "published twice")]
+    fn publishing_a_block_twice_panics() {
+        let pool = ChamberPool::new(ChamberPolicy::unbounded(), 2);
+        pool.run_planned(&sum_program(), 2, None, |sink| {
+            sink.publish(0, view(&[vec![1.0]]));
+            sink.publish(0, view(&[vec![1.0]]));
+        });
     }
 
     #[test]

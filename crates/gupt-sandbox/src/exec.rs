@@ -5,9 +5,8 @@
 //! construction (§4) — and the paper scales it by adding machines
 //! (Fig. 6). [`ExecutionPolicy`] is the in-process analogue of that
 //! cluster-sizing knob: one first-class, forward-compatible value that
-//! says how many workers a query's chambers fan out across, how blocks
-//! are chunked into steal-able tasks, and whether the reduce is
-//! deterministic.
+//! says how many workers a query's chambers fan out across and how
+//! blocks are chunked into steal-able tasks.
 //!
 //! The policy deliberately does **not** influence answers. Per-chamber
 //! randomness is split from the per-query seed *before* fan-out
@@ -17,6 +16,10 @@
 //! per query) without invalidating caches, test fixtures, or audits.
 
 /// How a [`crate::ChamberPool`] schedules chamber executions.
+///
+/// The reduce is always index-ordered: chamber outputs come back in
+/// block order whatever the width or chunking, so answers are
+/// bit-identical to sequential execution.
 ///
 /// Marked `#[non_exhaustive]`: construct via [`ExecutionPolicy::sequential`],
 /// [`ExecutionPolicy::parallel`] or [`ExecutionPolicy::auto`] and refine
@@ -31,10 +34,6 @@ pub struct ExecutionPolicy {
     /// Contiguous block indices bundled into one steal-able task.
     /// `0` means "auto": sized so each worker sees a handful of tasks.
     pub chunk: usize,
-    /// Reduce chamber outputs in block-index order (bit-identical to
-    /// sequential execution). Kept as an explicit, always-on contract
-    /// bit: turning it off is reserved for future relaxed schedulers.
-    pub deterministic_reduce: bool,
 }
 
 impl ExecutionPolicy {
@@ -44,7 +43,6 @@ impl ExecutionPolicy {
         ExecutionPolicy {
             threads: 1,
             chunk: 0,
-            deterministic_reduce: true,
         }
     }
 
@@ -53,7 +51,6 @@ impl ExecutionPolicy {
         ExecutionPolicy {
             threads: threads.max(1),
             chunk: 0,
-            deterministic_reduce: true,
         }
     }
 
@@ -62,7 +59,6 @@ impl ExecutionPolicy {
         ExecutionPolicy {
             threads: 0,
             chunk: 0,
-            deterministic_reduce: true,
         }
     }
 
@@ -75,12 +71,6 @@ impl ExecutionPolicy {
     /// Sets the task chunk size (`0` = auto).
     pub fn chunk(mut self, chunk: usize) -> ExecutionPolicy {
         self.chunk = chunk;
-        self
-    }
-
-    /// Sets whether outputs are reduced in deterministic block order.
-    pub fn deterministic_reduce(mut self, on: bool) -> ExecutionPolicy {
-        self.deterministic_reduce = on;
         self
     }
 
@@ -160,12 +150,9 @@ mod tests {
 
     #[test]
     fn builder_refines_fields() {
-        let p = ExecutionPolicy::parallel(4)
-            .chunk(3)
-            .deterministic_reduce(true);
+        let p = ExecutionPolicy::parallel(4).chunk(3);
         assert_eq!(p.threads, 4);
         assert_eq!(p.chunk, 3);
-        assert!(p.deterministic_reduce);
         assert_eq!(ExecutionPolicy::default(), ExecutionPolicy::auto());
     }
 

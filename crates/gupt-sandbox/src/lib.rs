@@ -24,7 +24,9 @@
 //!   worker pool sized by an [`exec::ExecutionPolicy`], one fresh
 //!   chamber per block (the paper's cluster parallelism, §1), with
 //!   per-chamber seeds split before fan-out and an index-ordered
-//!   reduce so answers are independent of thread interleaving.
+//!   reduce so answers are independent of thread interleaving. Its
+//!   chambers can start on blocks while the caller is still drawing the
+//!   rest of the block plan.
 //! - [`attacks`] packages the three adversarial programs used by the
 //!   Table 1 comparison and the security test-suite.
 
@@ -39,7 +41,7 @@ pub mod program;
 pub mod scratch;
 pub mod view;
 
-pub use chamber::{Chamber, ChamberOutcome, ChamberPool, ChamberReport, PoolTrace};
+pub use chamber::{BlockSink, Chamber, ChamberOutcome, ChamberPool, ChamberReport, PoolTrace};
 pub use exec::ExecutionPolicy;
 pub use policy::ChamberPolicy;
 pub use program::{BlockProgram, ClosureProgram, RowSliceProgram};

@@ -8,10 +8,10 @@
 //!   preserves crossbeam's call shape (`scope(|s| { s.spawn(|_| …); })`
 //!   returning a `Result`).
 //! - `crossbeam::deque` for work-stealing schedulers. [`deque`]
-//!   reproduces the `Worker`/`Stealer`/`Steal` API in safe Rust over a
-//!   locked `VecDeque` — correctness-compatible with the lock-free
-//!   original, with coarser contention behaviour that is irrelevant at
-//!   chamber-task granularity.
+//!   reproduces the `Worker`/`Stealer`/`Injector`/`Steal` API in safe
+//!   Rust over a locked `VecDeque` — correctness-compatible with the
+//!   lock-free original, with coarser contention behaviour that is
+//!   irrelevant at chamber-task granularity.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,13 +21,20 @@
 /// Each worker thread owns a [`Worker`](deque::Worker) it pushes and
 /// pops locally (LIFO or FIFO); other threads hold
 /// [`Stealer`](deque::Stealer) handles and take work from the opposite
-/// end. The shim backs both with one mutexed `VecDeque`, so every
-/// operation is linearizable; [`Steal::Retry`](deque::Steal::Retry) is
-/// reserved for lock-poisoning (a panicking peer), which callers treat
-/// exactly like crossbeam's transient contention signal.
+/// end. Tasks produced outside any worker go through a shared FIFO
+/// [`Injector`](deque::Injector) that every worker can steal from. The
+/// shim backs each queue with one mutexed `VecDeque`, so every
+/// operation is linearizable and an uncontended one takes no system
+/// call; [`Steal::Retry`](deque::Steal::Retry) is reserved for
+/// lock-poisoning (a panicking peer), which callers treat exactly like
+/// crossbeam's transient contention signal.
 pub mod deque {
     use std::collections::VecDeque;
     use std::sync::{Arc, Mutex};
+
+    /// Most tasks one batch steal moves out of an [`Injector`]
+    /// (crossbeam's bound).
+    const MAX_BATCH: usize = 32;
 
     /// Which end [`Worker::pop`] takes from.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,6 +133,94 @@ pub mod deque {
         /// Whether the deque is currently empty.
         pub fn is_empty(&self) -> bool {
             self.queue.lock().map(|q| q.is_empty()).unwrap_or(true)
+        }
+    }
+
+    /// A FIFO queue shared by every worker, for tasks produced outside
+    /// the workers' own deques.
+    #[derive(Debug)]
+    pub struct Injector<T> {
+        queue: Mutex<VecDeque<T>>,
+    }
+
+    impl<T> Default for Injector<T> {
+        fn default() -> Injector<T> {
+            Injector::new()
+        }
+    }
+
+    impl<T> Injector<T> {
+        /// An empty injector.
+        pub fn new() -> Injector<T> {
+            Injector {
+                queue: Mutex::new(VecDeque::new()),
+            }
+        }
+
+        /// Pushes a task onto the back of the queue.
+        pub fn push(&self, task: T) {
+            self.queue
+                .lock()
+                .expect("injector poisoned")
+                .push_back(task);
+        }
+
+        /// Steals the task at the front of the queue.
+        pub fn steal(&self) -> Steal<T> {
+            match self.queue.lock() {
+                Ok(mut q) => match q.pop_front() {
+                    Some(task) => Steal::Success(task),
+                    None => Steal::Empty,
+                },
+                Err(_) => Steal::Retry,
+            }
+        }
+
+        /// Moves a batch of tasks from the front of the queue into
+        /// `dest`: about half of them, at most 32.
+        pub fn steal_batch(&self, dest: &Worker<T>) -> Steal<()> {
+            let mut q = match self.queue.lock() {
+                Ok(q) => q,
+                Err(_) => return Steal::Retry,
+            };
+            let batch = q.len().div_ceil(2).min(MAX_BATCH);
+            if batch == 0 {
+                return Steal::Empty;
+            }
+            for task in q.drain(..batch) {
+                dest.push(task);
+            }
+            Steal::Success(())
+        }
+
+        /// Like [`Injector::steal_batch`], but pops the first task of the
+        /// batch and returns it instead of pushing it into `dest`.
+        pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
+            let mut q = match self.queue.lock() {
+                Ok(q) => q,
+                Err(_) => return Steal::Retry,
+            };
+            let batch = q.len().div_ceil(2).min(MAX_BATCH);
+            let mut taken = q.drain(..batch);
+            match taken.next() {
+                Some(first) => {
+                    for task in taken {
+                        dest.push(task);
+                    }
+                    Steal::Success(first)
+                }
+                None => Steal::Empty,
+            }
+        }
+
+        /// Whether the queue is currently empty.
+        pub fn is_empty(&self) -> bool {
+            self.queue.lock().map(|q| q.is_empty()).unwrap_or(true)
+        }
+
+        /// Number of tasks currently queued.
+        pub fn len(&self) -> usize {
+            self.queue.lock().map(|q| q.len()).unwrap_or(0)
         }
     }
 
@@ -233,7 +328,7 @@ mod tests {
     }
 
     mod deque {
-        use crate::deque::{Steal, Worker};
+        use crate::deque::{Injector, Steal, Worker};
 
         #[test]
         fn lifo_owner_pops_newest() {
@@ -310,6 +405,89 @@ mod tests {
                         }
                     });
                 }
+            });
+            assert_eq!(taken.load(Ordering::Relaxed), TASKS);
+            assert_eq!(sum.load(Ordering::Relaxed), TASKS * (TASKS - 1) / 2);
+        }
+
+        #[test]
+        fn injector_is_fifo() {
+            let q = Injector::default();
+            assert!(q.is_empty());
+            q.push(1);
+            q.push(2);
+            assert_eq!(q.len(), 2);
+            assert_eq!(q.steal(), Steal::Success(1));
+            assert_eq!(q.steal(), Steal::Success(2));
+            assert_eq!(q.steal(), Steal::Empty);
+        }
+
+        #[test]
+        fn injector_batch_moves_half_in_order() {
+            let q = Injector::new();
+            for i in 0..5 {
+                q.push(i);
+            }
+            let w = Worker::new_fifo();
+            assert_eq!(q.steal_batch(&w), Steal::Success(()));
+            // ⌈5/2⌉ = 3 tasks moved, oldest first.
+            assert_eq!(
+                (w.pop(), w.pop(), w.pop(), w.pop()),
+                (Some(0), Some(1), Some(2), None)
+            );
+            assert_eq!(q.len(), 2);
+            assert_eq!(q.steal_batch_and_pop(&w), Steal::Success(3));
+            assert!(w.is_empty(), "a batch of one is popped, not pushed");
+            assert_eq!(q.steal_batch_and_pop(&w), Steal::Success(4));
+            assert_eq!(q.steal_batch_and_pop(&w), Steal::Empty);
+            assert_eq!(q.steal_batch(&w), Steal::Empty);
+        }
+
+        #[test]
+        fn injector_batch_is_capped() {
+            let q = Injector::new();
+            for i in 0..1000 {
+                q.push(i);
+            }
+            let w = Worker::new_fifo();
+            assert_eq!(q.steal_batch_and_pop(&w), Steal::Success(0));
+            assert_eq!(w.len(), 31, "at most 32 tasks per batch");
+            assert_eq!(q.len(), 1000 - 32);
+        }
+
+        #[test]
+        fn concurrent_producer_and_consumers_see_every_task_once() {
+            use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+            const TASKS: usize = 10_000;
+            let q = Injector::new();
+            let done = AtomicBool::new(false);
+            let taken = AtomicUsize::new(0);
+            let sum = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..3 {
+                    let (q, done, taken, sum) = (&q, &done, &taken, &sum);
+                    scope.spawn(move || {
+                        let local = Worker::new_fifo();
+                        loop {
+                            let finished = done.load(Ordering::Acquire);
+                            let task = local
+                                .pop()
+                                .or_else(|| q.steal_batch_and_pop(&local).success());
+                            match task {
+                                Some(v) => {
+                                    taken.fetch_add(1, Ordering::Relaxed);
+                                    sum.fetch_add(v, Ordering::Relaxed);
+                                }
+                                None if finished => break,
+                                None => std::thread::yield_now(),
+                            }
+                        }
+                    });
+                }
+                for i in 0..TASKS {
+                    q.push(i);
+                }
+                done.store(true, Ordering::Release);
             });
             assert_eq!(taken.load(Ordering::Relaxed), TASKS);
             assert_eq!(sum.load(Ordering::Relaxed), TASKS * (TASKS - 1) / 2);

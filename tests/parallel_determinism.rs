@@ -15,8 +15,10 @@
 //! shakes out interleavings debug builds never hit.
 
 use gupt::core::prelude::*;
-use gupt::core::Aggregator;
+use gupt::core::{Aggregator, WindowSpec};
+use gupt::sandbox::{BlockProgram, Scratch};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const WIDTHS: [usize; 3] = [2, 4, 8];
 
@@ -188,4 +190,126 @@ fn service_worker_cap_preserves_bits() {
         answer.values.iter().map(|v| v.to_bits()).collect()
     };
     assert_eq!(run_with_budget(64), run_with_budget(1));
+}
+
+fn policy(width: usize) -> ExecutionPolicy {
+    if width == 1 {
+        ExecutionPolicy::sequential()
+    } else {
+        ExecutionPolicy::parallel(width)
+    }
+}
+
+/// A randomized block program: the block mean plus a jitter drawn from
+/// the chamber's seed, so a seed split from the wrong block index or a
+/// report landing in the wrong slot changes the answer.
+struct JitteredMean;
+
+impl BlockProgram for JitteredMean {
+    fn run(&self, block: &BlockView, scratch: &mut Scratch) -> Vec<f64> {
+        let jitter = scratch.seed().map_or(0.0, |s| (s % 1000) as f64 / 1000.0);
+        vec![block.iter().map(|r| r[0]).sum::<f64>() / block.len().max(1) as f64 + jitter]
+    }
+
+    fn output_dimension(&self) -> usize {
+        1
+    }
+}
+
+fn jittered_spec(gamma: usize, range: RangeEstimation) -> QuerySpec {
+    QuerySpec::builder()
+        .program(Arc::new(JitteredMean))
+        .identity("jittered-mean", 1)
+        .epsilon(eps(0.5))
+        .resampling(gamma)
+        .range_estimation(range)
+        .build()
+        .unwrap()
+}
+
+/// Window polls draw their blocks over the window's row range while the
+/// chambers already run: tumbling and sliding windows must replay the
+/// sequential bits at every width.
+#[test]
+fn window_polls_are_width_invariant() {
+    let window_bits = |seed: u64, width: usize| -> Vec<Vec<u64>> {
+        let runtime = GuptRuntimeBuilder::new()
+            .register_dataset("t", rows(1200), eps(1e6))
+            .unwrap()
+            .seed(seed)
+            .execution(policy(width))
+            .build();
+        let loose = || RangeEstimation::Loose(vec![OutputRange::new(0.0, 51.0).unwrap()]);
+        let tumbling = runtime
+            .subscribe(
+                "t",
+                WindowSpec::tumbling(400).unwrap(),
+                jittered_spec(1, loose()),
+            )
+            .unwrap();
+        let sliding = runtime
+            .subscribe(
+                "t",
+                WindowSpec::sliding(500, 250).unwrap(),
+                jittered_spec(3, loose()),
+            )
+            .unwrap();
+        let mut answers = Vec::new();
+        for query in [&tumbling, &sliding] {
+            while let Some(window) = runtime.poll_window(query).unwrap() {
+                assert!(!window.replayed, "every window is fresh");
+                answers.push(window.answer.values.iter().map(|v| v.to_bits()).collect());
+            }
+        }
+        assert_eq!(
+            answers.len(),
+            3 + 3,
+            "three tumbling and three sliding windows"
+        );
+        answers
+    };
+    for seed in [3u64, 29, 4242] {
+        let sequential = window_bits(seed, 1);
+        for width in [2, 8] {
+            assert_eq!(
+                sequential,
+                window_bits(seed, width),
+                "window answers diverged at width {width} (seed {seed})"
+            );
+        }
+    }
+}
+
+/// A dataset with a group column draws a group-atomic plan in full and
+/// publishes it at once: still bit-identical at every width.
+#[test]
+fn grouped_dataset_is_width_invariant() {
+    let grouped_bits = |seed: u64, width: usize| -> Vec<u64> {
+        let dataset = Dataset::new(rows(600))
+            .unwrap()
+            .with_group_column(1)
+            .unwrap();
+        let runtime = GuptRuntimeBuilder::new()
+            .register("t", dataset, eps(1e6))
+            .unwrap()
+            .seed(seed)
+            .execution(policy(width))
+            .build();
+        let tight = RangeEstimation::Tight(vec![OutputRange::new(0.0, 51.0).unwrap()]);
+        let answer = runtime
+            .run("t", jittered_spec(3, tight))
+            .expect("query runs");
+        assert!(answer.num_blocks > 8, "several blocks per round");
+        answer.values.iter().map(|v| v.to_bits()).collect()
+    };
+    for seed in [3u64, 29, 4242] {
+        let sequential = grouped_bits(seed, 1);
+        for width in [2, 8] {
+            assert_eq!(
+                sequential,
+                grouped_bits(seed, width),
+                "grouped answer diverged at width {width} (seed {seed})"
+            );
+        }
+    }
 }
