@@ -14,12 +14,27 @@
 //! before or after the batch, but never between two of its members, so
 //! a batch either owns its full allocation or fails closed without
 //! spending anything.
+//!
+//! After the charge, every member that missed the cache is prepared in
+//! member order — each takes its query seed there, exactly as it would
+//! running alone — and then all of them run in **one** chamber-pool
+//! dispatch: any idle worker draws the next member's plan while the
+//! others run the chambers of the members already drawn. Each member
+//! resolves its ranges and draws its noise on its own RNG, and answers
+//! are journaled to the cache in member order, so a batch's answers are
+//! the ones its members would release one after another.
+//!
+//! On a dataset with a group column (§8.1) a member's group-atomic plan
+//! is drawn in full while it is prepared, before the dispatch. There
+//! the batch runs in windows: once a pool's width of members holds a
+//! drawn plan, those members run and finish before the next one is
+//! prepared, so a batch holds at most that many plans at once.
 
 use crate::blocks::default_block_size;
 use crate::budget_distribution::{distribute_budget, QueryNoiseProfile};
 use crate::error::GuptError;
 use crate::query::{BlockSizeSpec, QuerySpec};
-use crate::runtime::{ChargeMode, GuptRuntime, PrivateAnswer};
+use crate::runtime::{Admission, BlockSource, ChargeMode, GuptRuntime, Prepared, PrivateAnswer};
 use gupt_dp::Epsilon;
 
 /// The result of a batch run: per-query answers plus the allocation.
@@ -31,6 +46,11 @@ pub struct BatchAnswer {
     /// the answer cache — its answer was already released, so it
     /// received no share of the batch budget.
     pub allocations: Vec<f64>,
+    /// The one debit the ledger took for the batch: the total budget
+    /// when every member missed the cache, the sum of the miss shares on
+    /// a partial hit, and 0 when every member replayed. (The float sum
+    /// of `allocations` can miss the debited total by a few ulps.)
+    pub charged: f64,
 }
 
 impl GuptRuntime {
@@ -48,6 +68,13 @@ impl GuptRuntime {
     /// debited atomically after planning succeeds; if a later member
     /// then fails (e.g. an invalid spec), the budget stays spent —
     /// fail-closed, like any charged query.
+    ///
+    /// The members that miss the answer cache share one chamber-pool
+    /// dispatch, scheduled by the narrowest execution policy any member
+    /// carries ([`QuerySpec::execution`]: its thread count and its
+    /// chunk size), or by the runtime's when none does. No answer
+    /// depends on that choice: each member's blocks, chamber seeds and
+    /// noise come from its own query seed.
     pub fn run_batch(
         &self,
         dataset: &str,
@@ -122,18 +149,53 @@ impl GuptRuntime {
         // budget when nothing hit (bit-identical to the pre-cache
         // behaviour), the sum of miss shares on a partial hit, and
         // nothing at all when every member replays from the cache.
-        if misses == queries.len() {
+        let charged = if misses == queries.len() {
             self.charge_dataset_as(dataset, principal, total_budget)?;
-        } else if miss_total > 0.0 {
-            self.charge_dataset_as(
-                dataset,
-                principal,
-                Epsilon::new(miss_total).map_err(GuptError::Dp)?,
-            )?;
+            total_budget.value()
+        } else {
+            if miss_total > 0.0 {
+                self.charge_dataset_as(
+                    dataset,
+                    principal,
+                    Epsilon::new(miss_total).map_err(GuptError::Dp)?,
+                )?;
+            }
+            miss_total
+        };
+
+        // Prepare the misses in member order and run them in one
+        // dispatch. A group-atomic plan (§8.1) is drawn in full when its
+        // member is prepared, so once a pool's width of those is held
+        // the members prepared so far run and finish before the next
+        // one is prepared: a batch never holds more plans than the pool
+        // runs at once.
+        let width = self.computation_manager().workers();
+        let mut window = Vec::new();
+        let mut held = 0;
+        let mut finished = Vec::with_capacity(misses);
+        for ((spec, share), hit) in queries.into_iter().zip(&shares).zip(&cached) {
+            if hit.is_some() {
+                continue;
+            }
+            let spec = spec.epsilon(*share);
+            let Admission::Run(member, source) =
+                self.prepare(dataset, None, spec, ChargeMode::Precharged)?
+            else {
+                unreachable!("precharged members skip the cache lookup");
+            };
+            held += usize::from(matches!(source, BlockSource::Drawn(_)));
+            window.push((member, source));
+            if held == width {
+                self.run_members(dataset, std::mem::take(&mut window), &mut finished)?;
+                held = 0;
+            }
         }
-        let mut answers = Vec::with_capacity(queries.len());
-        let mut allocations = Vec::with_capacity(queries.len());
-        for ((spec, share), hit) in queries.into_iter().zip(shares).zip(cached) {
+        self.run_members(dataset, window, &mut finished)?;
+        let mut finished = finished.into_iter();
+
+        let mut answers = Vec::with_capacity(shares.len());
+        let mut allocations = Vec::with_capacity(shares.len());
+        for (share, hit) in shares.into_iter().zip(cached) {
             match hit {
                 Some(answer) => {
                     allocations.push(0.0);
@@ -141,20 +203,39 @@ impl GuptRuntime {
                 }
                 None => {
                     allocations.push(share.value());
-                    answers.push(self.run_with_charge(
-                        dataset,
-                        None,
-                        spec.epsilon(share),
-                        ChargeMode::Precharged,
-                        None,
-                    )?);
+                    answers.push(finished.next().expect("one answer per miss"));
                 }
             }
         }
         Ok(BatchAnswer {
             answers,
             allocations,
+            charged,
         })
+    }
+
+    /// Runs prepared batch members in one dispatch and finishes them in
+    /// member order onto `answers`.
+    fn run_members(
+        &self,
+        dataset: &str,
+        members: Vec<(Box<Prepared<'_>>, BlockSource)>,
+        answers: &mut Vec<PrivateAnswer>,
+    ) -> Result<(), GuptError> {
+        if members.is_empty() {
+            return Ok(());
+        }
+        let (mut prepared, sources): (Vec<_>, Vec<_>) = members.into_iter().unzip();
+        let planned = prepared
+            .iter_mut()
+            .zip(sources)
+            .map(|(member, source)| member.planned(source))
+            .collect();
+        let runs = self.plan_and_execute(planned, None);
+        for (member, run) in prepared.into_iter().zip(runs) {
+            answers.push(self.finish(dataset, member, run)?);
+        }
+        Ok(())
     }
 }
 
@@ -163,6 +244,7 @@ mod tests {
     use super::*;
     use crate::output_range::RangeEstimation;
     use crate::runtime::GuptRuntimeBuilder;
+    use crate::ExecutionPolicy;
     use gupt_dp::OutputRange;
 
     fn eps(v: f64) -> Epsilon {
@@ -219,6 +301,7 @@ mod tests {
         assert!((ratio - 100.0).abs() < 1e-6, "ratio = {ratio}");
         // Whole budget spent (one atomic ledger charge for the batch).
         assert!((rt.remaining_budget("ages").unwrap() - 96.0).abs() < 1e-9);
+        assert_eq!(batch.charged, 4.0);
         // Both answers in the ballpark (equalised noise scale ≈ 6.3).
         assert!((batch.answers[0].values[0] - 49.5).abs() < 30.0);
         assert!((batch.answers[1].values[0] - 833.25).abs() < 60.0);
@@ -333,6 +416,7 @@ mod tests {
         // answer.
         assert_eq!(rt.remaining_budget("ages").unwrap(), after_first);
         assert_eq!(second.allocations, vec![0.0]);
+        assert_eq!((first.charged, second.charged), (2.0, 0.0));
         assert_eq!(second.answers[0].values, first.answers[0].values);
         assert_eq!(
             second.answers[0].epsilon_spent,
@@ -359,6 +443,7 @@ mod tests {
             .run_batch("ages", vec![named_mean_spec(), variance_spec()], eps(4.0))
             .unwrap();
         assert_eq!(second.allocations[0], 0.0);
+        assert_eq!(second.charged, second.allocations[1]);
         assert!((second.allocations[1] - batch.allocations[1]).abs() < 1e-12);
         let spent = after_first - rt.remaining_budget("ages").unwrap();
         assert!(
@@ -367,6 +452,90 @@ mod tests {
             batch.allocations[1]
         );
         assert_eq!(second.answers[0].values, batch.answers[0].values);
+    }
+
+    /// 600 rows in 40 groups of 15 (column 1), on a pool of `width`.
+    fn grouped_runtime(seed: u64, width: usize) -> GuptRuntime {
+        let rows = (0..600)
+            .map(|i| vec![(i % 100) as f64, (i % 40) as f64])
+            .collect();
+        let dataset = crate::Dataset::new(rows)
+            .unwrap()
+            .with_group_column(1)
+            .unwrap();
+        GuptRuntimeBuilder::new()
+            .register("ages", dataset, eps(100.0))
+            .unwrap()
+            .seed(seed)
+            .execution(ExecutionPolicy::parallel(width))
+            .build()
+    }
+
+    fn value_bits(answers: &[PrivateAnswer]) -> Vec<u64> {
+        answers.iter().map(|a| a.values[0].to_bits()).collect()
+    }
+
+    #[test]
+    fn grouped_batch_holds_at_most_a_pool_width_of_plans() {
+        let members = 7;
+        let batch = |width: usize| -> BatchAnswer {
+            let rt = grouped_runtime(11, width);
+            let batch = rt
+                .run_batch("ages", vec![mean_spec(); members], eps(7.0))
+                .unwrap();
+            assert_eq!(rt.held_plans.peak(), width.min(members), "width {width}");
+            batch
+        };
+        // The same answers as the members run one after another, each
+        // at its share, whatever the windows.
+        let rt = grouped_runtime(11, 2);
+        let first = batch(2);
+        let one_by_one: Vec<PrivateAnswer> = first
+            .allocations
+            .iter()
+            .map(|&share| rt.run("ages", mean_spec().epsilon(eps(share))).unwrap())
+            .collect();
+        assert_eq!(value_bits(&first.answers), value_bits(&one_by_one));
+        for width in [1, 3, 8] {
+            assert_eq!(value_bits(&batch(width).answers), value_bits(&one_by_one));
+        }
+    }
+
+    #[test]
+    fn mixed_member_policies_run_on_the_narrowest_and_release_the_same_answers() {
+        let run = |policies: [Option<ExecutionPolicy>; 3]| -> Vec<PrivateAnswer> {
+            let rt = GuptRuntimeBuilder::new()
+                .register_dataset("ages", rows(), eps(100.0))
+                .unwrap()
+                .seed(8)
+                .execution(ExecutionPolicy::parallel(4))
+                .build();
+            let specs = policies
+                .into_iter()
+                .map(|policy| {
+                    let spec = mean_spec().collect_telemetry();
+                    match policy {
+                        Some(policy) => spec.execution(policy),
+                        None => spec,
+                    }
+                })
+                .collect();
+            rt.run_batch("ages", specs, eps(3.0)).unwrap().answers
+        };
+        let plain = run([None, None, None]);
+        let mixed = run([
+            None,
+            Some(ExecutionPolicy::sequential()),
+            Some(ExecutionPolicy::parallel(2).chunk(1)),
+        ]);
+        assert_eq!(value_bits(&mixed), value_bits(&plain));
+        // One sequential member puts the whole dispatch on one thread.
+        for answer in &mixed {
+            let telemetry = answer.telemetry.as_ref().expect("telemetry requested");
+            assert_eq!(telemetry.parallel.workers, 1);
+        }
+        let chunked = run([None, Some(ExecutionPolicy::parallel(3).chunk(7)), None]);
+        assert_eq!(value_bits(&chunked), value_bits(&plain));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use gupt_sandbox::view::{BlockView, RowStore};
 use gupt_sandbox::{
     BlockProgram, BlockSink, ChamberOutcome, ChamberPolicy, ChamberPool, ChamberReport,
-    ExecutionPolicy, PoolTrace,
+    ExecutionPolicy, PlannedRun, PoolTrace,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -143,24 +143,21 @@ impl ComputationManager {
     }
 
     /// The runtime's query path: like
-    /// [`ComputationManager::execute_blocks_planned`], but the `blocks`
-    /// blocks come from `plan`, which runs on the calling thread and
-    /// publishes each one as soon as it is final while the pool's
-    /// helpers already run chambers (see [`ChamberPool::run_planned`]).
+    /// [`ComputationManager::execute_blocks_planned`], but each run's
+    /// blocks come from its planner, which publishes each one as soon as
+    /// it is final while the pool already runs chambers, and all runs
+    /// share one dispatch (see [`ChamberPool::run_batch`]). Reports and
+    /// traces come back in run order.
     pub fn execute_while_planning<P>(
         &self,
-        program: &Arc<dyn BlockProgram>,
-        blocks: usize,
+        runs: Vec<PlannedRun<'_, P>>,
         cap: Option<Duration>,
         exec: Option<&ExecutionPolicy>,
-        seed_base: Option<u64>,
-        plan: P,
-    ) -> (Vec<ChamberReport>, PoolTrace)
+    ) -> Vec<(Vec<ChamberReport>, PoolTrace)>
     where
-        P: FnOnce(&mut BlockSink<'_>),
+        P: FnOnce(&mut BlockSink<'_>) + Send,
     {
-        self.pool_for(cap, exec)
-            .run_planned(program, blocks, seed_base, plan)
+        self.pool_for(cap, exec).run_batch(runs)
     }
 
     /// The pool one query runs on: the per-query execution policy, if it

@@ -93,7 +93,7 @@ pub use dataset_manager::{
 };
 pub use error::GuptError;
 pub use explain::{BudgetSplit, QueryPlan};
-pub use gupt_sandbox::view::{BlockRows, BlockView, RowStore};
+pub use gupt_sandbox::view::{BlockRows, BlockView, RowStore, RowTags};
 pub use gupt_sandbox::ExecutionPolicy;
 pub use output_range::{RangeEstimation, RangeTranslator};
 pub use principal::{validate_principal_name, ExhaustedPolicy, PrincipalState, PrincipalTable};

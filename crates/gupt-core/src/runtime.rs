@@ -61,7 +61,7 @@ use crate::telemetry::{
 };
 use gupt_dp::{Epsilon, OutputRange};
 use gupt_sandbox::view::{BlockView, RowStore};
-use gupt_sandbox::{ChamberPolicy, ExecutionPolicy, PoolTrace};
+use gupt_sandbox::{BlockSink, ChamberPolicy, ExecutionPolicy, PlannedRun, PoolTrace};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -240,6 +240,8 @@ impl GuptRuntimeBuilder {
             subscriptions: Mutex::new(HashMap::new()),
             subscription_seq: AtomicU64::new(0),
             stream_counters: StreamCounters::default(),
+            #[cfg(test)]
+            held_plans: HeldPlans::default(),
         }
     }
 }
@@ -279,6 +281,36 @@ pub struct GuptRuntime {
     /// Runtime-wide streaming counters, surfaced as the telemetry
     /// schema-v7 `stream` object.
     stream_counters: StreamCounters,
+    /// Group-atomic plans drawn before their dispatch, counted so that
+    /// tests can bound how many a batch holds at once.
+    #[cfg(test)]
+    pub(crate) held_plans: HeldPlans,
+}
+
+/// How many group-atomic plans are drawn and not yet published to a
+/// dispatch, and the most that ever were at once.
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct HeldPlans {
+    live: std::sync::atomic::AtomicUsize,
+    peak: std::sync::atomic::AtomicUsize,
+}
+
+#[cfg(test)]
+impl HeldPlans {
+    fn hold(&self) {
+        let live = self.live.fetch_add(1, Ordering::SeqCst) + 1;
+        self.peak.fetch_max(live, Ordering::SeqCst);
+    }
+
+    fn release(&self) {
+        self.live.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// The most plans held at once so far.
+    pub(crate) fn peak(&self) -> usize {
+        self.peak.load(Ordering::SeqCst)
+    }
 }
 
 /// Lock-free streaming counters (see [`StreamTelemetry`]).
@@ -691,6 +723,28 @@ impl GuptRuntime {
         charge: ChargeMode,
         exec_cap: Option<Duration>,
     ) -> Result<PrivateAnswer, GuptError> {
+        let (mut prepared, source) = match self.prepare(dataset, principal, spec, charge)? {
+            Admission::Replay(answer) => return Ok(answer),
+            Admission::Run(prepared, source) => (prepared, source),
+        };
+        let run = self
+            .plan_and_execute(vec![prepared.planned(source)], exec_cap)
+            .pop()
+            .expect("one run per planned query");
+        self.finish(dataset, prepared, run)
+    }
+
+    /// Everything of a query up to its block plan: the cache lookup, the
+    /// query seed, the block size, the budget and the ledger charge.
+    /// A batch prepares its members in order with this, so each takes
+    /// its query seed exactly as it would running alone.
+    pub(crate) fn prepare<'rt>(
+        &'rt self,
+        dataset: &str,
+        principal: Option<&str>,
+        spec: QuerySpec,
+        charge: ChargeMode,
+    ) -> Result<Admission<'rt>, GuptError> {
         let mut tel = QueryTelemetry::new(spec.telemetry_enabled());
         let query_start = Instant::now();
         let entry = self.manager.get(dataset)?;
@@ -739,7 +793,7 @@ impl GuptRuntime {
                     tel.record_ingest(ingest_telemetry(entry.ingest_stats()));
                     tel.record_stream(self.stream_counters.snapshot());
                     answer.telemetry = tel.finish(query_start.elapsed());
-                    return Ok(answer);
+                    return Ok(Admission::Replay(answer));
                 }
             }
         }
@@ -827,17 +881,23 @@ impl GuptRuntime {
             remaining_budget: entry.ledger().remaining(),
         });
 
-        // --- 4. Partition + chambered execution. -----------------------
+        // --- 4. Partition source. --------------------------------------
         // User-level privacy (§8.1): group-atomic partitioning when the
-        // owner declared a group column, drawn in full up front.
+        // owner declared a group column. Its block count is known only
+        // once it is drawn, so it is drawn in full here; a plain range
+        // plan is drawn while the chambers run.
         let stage_start = Instant::now();
         let source = match ds.groups() {
-            Some(groups) => BlockSource::Drawn(partition_grouped(
-                &groups,
-                block_size,
-                spec.gamma(),
-                &mut rng,
-            )),
+            Some(groups) => {
+                #[cfg(test)]
+                self.held_plans.hold();
+                BlockSource::Drawn(partition_grouped(
+                    &groups,
+                    block_size,
+                    spec.gamma(),
+                    &mut rng,
+                ))
+            }
             None => BlockSource::Range {
                 start: 0,
                 end: n,
@@ -845,7 +905,48 @@ impl GuptRuntime {
             },
         };
         tel.record_stage(Stage::BlockPlanning, stage_start.elapsed());
-        let run = self.plan_and_execute(ds.store(), source, &spec, exec_cap, query_seed, &mut rng);
+        let prepared = Prepared {
+            entry,
+            ds,
+            epoch,
+            spec,
+            mode,
+            p,
+            fingerprint,
+            query_seed,
+            rng,
+            eps_total,
+            block_size,
+            tel,
+            query_start,
+        };
+        Ok(Admission::Run(Box::new(prepared), source))
+    }
+
+    /// Everything of a query after its chambers: range resolution,
+    /// clamp, aggregate and noise on the query's own RNG, then the
+    /// cache journal.
+    pub(crate) fn finish(
+        &self,
+        dataset: &str,
+        prepared: Box<Prepared<'_>>,
+        run: ChamberRun,
+    ) -> Result<PrivateAnswer, GuptError> {
+        let Prepared {
+            entry,
+            ds,
+            epoch,
+            spec,
+            mode,
+            p,
+            fingerprint,
+            mut rng,
+            eps_total,
+            block_size,
+            mut tel,
+            query_start,
+            ..
+        } = *prepared;
         run.record(&mut tel);
         let outputs = run.outputs;
 
@@ -885,7 +986,7 @@ impl GuptRuntime {
             spec.aggregation_strategy(),
             &outputs,
             &ranges,
-            run.plan.gamma(),
+            run.gamma,
             eps_per_dim,
             &mut rng,
         )?;
@@ -895,8 +996,8 @@ impl GuptRuntime {
             values,
             epsilon_spent: eps_total.value(),
             block_size,
-            num_blocks: run.plan.num_blocks(),
-            gamma: run.plan.gamma(),
+            num_blocks: run.num_blocks,
+            gamma: run.gamma,
             ranges,
             execution: run.execution,
             telemetry: None,
@@ -1160,7 +1261,17 @@ impl GuptRuntime {
             end,
             block_size,
         };
-        let run = self.plan_and_execute(ds.store(), source, &sub.spec, None, query_seed, &mut rng);
+        let planned = Planned {
+            store: ds.store(),
+            source,
+            spec: &sub.spec,
+            query_seed,
+            rng: &mut rng,
+        };
+        let run = self
+            .plan_and_execute(vec![planned], None)
+            .pop()
+            .expect("one run per planned query");
         run.record(&mut tel);
         let outputs = run.outputs;
 
@@ -1191,7 +1302,7 @@ impl GuptRuntime {
             sub.spec.aggregation_strategy(),
             &outputs,
             &ranges,
-            run.plan.gamma(),
+            run.gamma,
             eps_per_dim,
             &mut rng,
         )?;
@@ -1201,8 +1312,8 @@ impl GuptRuntime {
             values,
             epsilon_spent: eps.value(),
             block_size,
-            num_blocks: run.plan.num_blocks(),
-            gamma: run.plan.gamma(),
+            num_blocks: run.num_blocks,
+            gamma: run.gamma,
             ranges,
             execution: run.execution,
             telemetry: None,
@@ -1265,7 +1376,7 @@ impl GuptRuntime {
 }
 
 /// Where one query's blocks come from.
-enum BlockSource {
+pub(crate) enum BlockSource {
     /// Records `start..end` of the store, cut into blocks of
     /// `block_size` as the shuffle finalizes them.
     Range {
@@ -1278,14 +1389,69 @@ enum BlockSource {
     Drawn(BlockPlan),
 }
 
-/// What a query keeps of its block plan and chamber run.
-struct ChamberRun {
+/// A query between [`GuptRuntime::prepare`] and [`GuptRuntime::finish`]:
+/// charged, seeded and sized, waiting for its chambers.
+pub(crate) struct Prepared<'rt> {
+    entry: &'rt DatasetEntry,
+    ds: Dataset,
+    epoch: u64,
+    spec: QuerySpec,
+    mode: RangeEstimation,
+    p: usize,
+    fingerprint: Option<QueryFingerprint>,
+    query_seed: u64,
+    rng: StdRng,
+    eps_total: Epsilon,
+    block_size: usize,
+    tel: QueryTelemetry,
+    query_start: Instant,
+}
+
+impl Prepared<'_> {
+    /// The query's part of a chamber dispatch.
+    pub(crate) fn planned(&mut self, source: BlockSource) -> Planned<'_> {
+        Planned {
+            store: self.ds.store(),
+            source,
+            spec: &self.spec,
+            query_seed: self.query_seed,
+            rng: &mut self.rng,
+        }
+    }
+}
+
+/// What [`GuptRuntime::prepare`] decided. The prepared query is boxed
+/// so that a cache hit, the warm path, moves only its answer, which
+/// the caller returns by value anyway.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Admission<'rt> {
+    /// A cache hit: the released answer, replayed at zero ε.
+    Replay(PrivateAnswer),
+    /// A charged query, and where its blocks come from.
+    Run(Box<Prepared<'rt>>, BlockSource),
+}
+
+/// One query's part of a chamber dispatch: the rows, the blocks to draw
+/// over them, the program, and the query's seed and RNG.
+pub(crate) struct Planned<'a> {
+    store: &'a Arc<RowStore>,
+    source: BlockSource,
+    spec: &'a QuerySpec,
+    query_seed: u64,
+    rng: &'a mut StdRng,
+}
+
+/// What a query keeps of its block plan and chamber run. The plan's
+/// index lists themselves are gone by the time the run reports.
+pub(crate) struct ChamberRun {
     /// Chamber outputs in block order.
     outputs: Vec<Vec<f64>>,
     execution: ExecutionSummary,
-    plan: BlockPlan,
+    num_blocks: usize,
+    gamma: usize,
+    index_bytes: usize,
     trace: PoolTrace,
-    /// The draw on the calling thread.
+    /// The draw, on whichever thread drew it.
     drawing: Duration,
     /// From the end of the draw to the last report.
     chambers: Duration,
@@ -1295,85 +1461,126 @@ impl ChamberRun {
     /// Records the run's data-plane counters, its two stages and the
     /// pool trace.
     fn record(&self, tel: &mut QueryTelemetry) {
-        tel.record_block_prep(self.plan.num_blocks(), self.plan.index_bytes());
+        tel.record_block_prep(self.num_blocks, self.index_bytes);
         tel.record_stage(Stage::BlockPlanning, self.drawing);
         tel.record_stage(Stage::ChamberExecution, self.chambers);
         tel.record_blocks(&self.execution, &self.trace);
     }
 }
 
+/// The shape of a drawn plan, kept after its index lists are dropped.
+struct Drawn {
+    num_blocks: usize,
+    gamma: usize,
+    index_bytes: usize,
+    drawing: Duration,
+}
+
 impl GuptRuntime {
-    /// Draws the query's block plan on the calling thread and runs a
-    /// chamber on each block as soon as the shuffle makes it final (see
-    /// [`gupt_sandbox::ChamberPool::run_planned`]). The draw consumes
-    /// `rng` exactly as a plain [`crate::blocks::partition_range`] would,
-    /// chamber `i` is seeded from `(query_seed, i)` and outputs come
-    /// back in block order, so the answer does not depend on the pool
-    /// width or on when a block ran.
+    /// Draws the queries' block plans and runs a chamber on each block
+    /// as soon as the shuffle makes it final, all in one pool dispatch
+    /// (see [`gupt_sandbox::ChamberPool::run_batch`]): drawing a plan is
+    /// a task any idle worker takes, and at most a pool's width of
+    /// queries is in flight at once. Each draw consumes its query's
+    /// `rng` exactly as a plain [`crate::blocks::partition_range`]
+    /// would, chamber `i` is seeded from `(query_seed, i)` and outputs
+    /// come back in block order, so no answer depends on the pool width,
+    /// on the other queries of the dispatch, or on when a block ran.
     ///
-    /// Views share the query's captured row store (the registered rows
+    /// Views share each query's captured row store (the registered rows
     /// plus any deltas appended before the capture), so the only bytes
-    /// "materialised" are the plan's index lists — O(total indices),
-    /// independent of γ·row-bytes.
-    fn plan_and_execute(
+    /// "materialised" are the plans' index lists — O(total indices),
+    /// independent of γ·row-bytes — and a plan's lists are freed as its
+    /// chambers finish with them.
+    ///
+    /// The dispatch runs on the narrowest pool any query asks for.
+    pub(crate) fn plan_and_execute(
         &self,
-        store: &Arc<RowStore>,
-        source: BlockSource,
-        spec: &QuerySpec,
+        queries: Vec<Planned<'_>>,
         exec_cap: Option<Duration>,
-        query_seed: u64,
-        rng: &mut StdRng,
-    ) -> ChamberRun {
-        let blocks = match &source {
-            BlockSource::Range {
-                start,
-                end,
-                block_size,
-            } => block_count(end.saturating_sub(*start), *block_size, spec.gamma()),
-            BlockSource::Drawn(plan) => plan.num_blocks(),
-        };
-        let mut drawn = None;
-        let dispatch_start = Instant::now();
-        let (reports, trace) = self.computation.execute_while_planning(
-            &spec.program,
-            blocks,
-            exec_cap,
-            spec.execution.as_ref(),
-            Some(query_seed),
-            |sink| {
-                let started = Instant::now();
-                let mut publish = |i: usize, idx: &Arc<[usize]>| {
-                    sink.publish(i, BlockView::sparse(Arc::clone(store), Arc::clone(idx)));
-                };
-                let plan = match source {
+    ) -> Vec<ChamberRun> {
+        let exec = queries
+            .iter()
+            .map(|q| q.spec.execution.as_ref())
+            .min_by_key(|e| e.map_or(self.computation.workers(), |e| e.effective_threads()))
+            .flatten();
+        let mut drawn: Vec<Option<Drawn>> = queries.iter().map(|_| None).collect();
+        let runs = queries
+            .into_iter()
+            .zip(drawn.iter_mut())
+            .map(|(query, out)| {
+                let Planned {
+                    store,
+                    source,
+                    spec,
+                    query_seed,
+                    rng,
+                } = query;
+                let gamma = spec.gamma();
+                let blocks = match &source {
                     BlockSource::Range {
                         start,
                         end,
                         block_size,
-                    } => partition_range_with(start, end, block_size, spec.gamma(), rng, publish),
-                    BlockSource::Drawn(plan) => {
-                        for (i, idx) in plan.blocks().iter().enumerate() {
-                            publish(i, idx);
-                        }
-                        plan
-                    }
+                    } => block_count(end.saturating_sub(*start), *block_size, gamma),
+                    BlockSource::Drawn(plan) => plan.num_blocks(),
                 };
-                drawn = Some((plan, started.elapsed(), Instant::now()));
-            },
-        );
-        let (plan, drawing, drawn_at) = drawn.expect("the planner runs in every dispatch");
-        ChamberRun {
-            // From the end of the draw to the last report, on the pool's
-            // clock: never more than the dispatch's wall time.
-            chambers: trace
-                .wall
-                .saturating_sub(drawn_at.duration_since(dispatch_start)),
-            execution: ExecutionSummary::from_reports(&reports),
-            outputs: reports.into_iter().map(|r| r.output).collect(),
-            plan,
-            trace,
-            drawing,
-        }
+                PlannedRun {
+                    program: &spec.program,
+                    blocks,
+                    seed_base: Some(query_seed),
+                    plan: move |sink: &mut BlockSink<'_>| {
+                        let started = Instant::now();
+                        let mut publish = |i: usize, idx: &Arc<[usize]>| {
+                            sink.publish(i, BlockView::sparse(Arc::clone(store), Arc::clone(idx)));
+                        };
+                        let plan = match source {
+                            BlockSource::Range {
+                                start,
+                                end,
+                                block_size,
+                            } => partition_range_with(start, end, block_size, gamma, rng, publish),
+                            BlockSource::Drawn(plan) => {
+                                for (i, idx) in plan.blocks().iter().enumerate() {
+                                    publish(i, idx);
+                                }
+                                #[cfg(test)]
+                                self.held_plans.release();
+                                plan
+                            }
+                        };
+                        *out = Some(Drawn {
+                            num_blocks: plan.num_blocks(),
+                            gamma: plan.gamma(),
+                            index_bytes: plan.index_bytes(),
+                            drawing: started.elapsed(),
+                        });
+                    },
+                }
+            })
+            .collect();
+        let results = self
+            .computation
+            .execute_while_planning(runs, exec_cap, exec);
+        results
+            .into_iter()
+            .zip(drawn)
+            .map(|((reports, trace), drawn)| {
+                let drawn = drawn.expect("the planner runs in every dispatch");
+                ChamberRun {
+                    // From the end of the draw to the last report, on the
+                    // pool's clock: never more than the run's wall time.
+                    chambers: trace.wall.saturating_sub(trace.drawn),
+                    execution: ExecutionSummary::from_reports(&reports),
+                    outputs: reports.into_iter().map(|r| r.output).collect(),
+                    num_blocks: drawn.num_blocks,
+                    gamma: drawn.gamma,
+                    index_bytes: drawn.index_bytes,
+                    trace,
+                    drawing: drawn.drawing,
+                }
+            })
+            .collect()
     }
 }
 

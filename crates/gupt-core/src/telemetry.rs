@@ -746,6 +746,7 @@ mod tests {
             },
             &PoolTrace {
                 wall: Duration::from_millis(100),
+                drawn: Duration::from_millis(10),
                 workers_used: 4,
                 busy: vec![Duration::from_millis(80); 4],
                 steals: 3,

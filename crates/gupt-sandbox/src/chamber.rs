@@ -13,9 +13,11 @@
 //! peers — so one slow chamber (a hostile program burning its budget,
 //! say) cannot strand the rest of the fan-out behind it. With
 //! [`ChamberPool::run_planned`] the pool starts before the block plan is
-//! complete: the caller draws the plan and publishes each block the
-//! moment it is final, helper workers run chambers on the published
-//! blocks meanwhile, and the caller joins them once the draw is done.
+//! complete: one worker draws the plan and publishes each block the
+//! moment it is final while the others run chambers on the published
+//! blocks. [`ChamberPool::run_batch`] does the same for many queries in
+//! one dispatch, any idle worker drawing the next query's plan while the
+//! others run the chambers of the queries already drawn.
 //! Two properties make the parallelism invisible to answers:
 //!
 //! - **Seeds split before fan-out.** Chamber `i`'s RNG seed is a pure
@@ -36,9 +38,10 @@ use crate::program::BlockProgram;
 use crate::scratch::Scratch;
 use crate::view::BlockView;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, OnceLock};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How a chamber invocation ended.
@@ -222,23 +225,29 @@ fn normalize_arity(out: &mut Vec<f64>, dim: usize, fill: f64) {
     }
 }
 
-/// Execution trace of one [`ChamberPool::run_all_traced`] or
-/// [`ChamberPool::run_planned`] call, for operator telemetry. Worker
-/// busy times depend on the private data (unless a padding policy is in
-/// force) and are **not** ε-protected.
+/// Execution trace of one run of a [`ChamberPool`] dispatch — a
+/// [`ChamberPool::run_all_traced`] or [`ChamberPool::run_planned`]
+/// call, or one member of a [`ChamberPool::run_batch`] — for operator
+/// telemetry. Worker busy times depend on the private data (unless a
+/// padding policy is in force) and are **not** ε-protected.
 #[derive(Debug, Clone, Default)]
 pub struct PoolTrace {
-    /// Wall clock of the whole dispatch, including any plan drawn while
-    /// the chambers ran.
+    /// Wall clock from the run's admission to its last chamber report,
+    /// including its draw. For a dispatch of one run, that is the whole
+    /// dispatch.
     pub wall: Duration,
-    /// Worker threads actually used (`min(workers, tasks)`), the calling
-    /// thread included.
+    /// The part of `wall` before the run's draw ended (zero for blocks
+    /// that came ready).
+    pub drawn: Duration,
+    /// Worker threads the dispatch used (`min(workers, blocks)`), the
+    /// calling thread included.
     pub workers_used: usize,
-    /// Per-worker time spent inside chambers (unordered). The caller's
-    /// entry excludes the time it spent drawing the plan.
+    /// Per-worker time spent inside this run's chambers (unordered).
+    /// Time spent drawing plans is not included.
     pub busy: Vec<Duration>,
-    /// Task chunks taken from a peer's deque rather than the worker's
-    /// own — the load-balancing traffic of the work-stealing scheduler.
+    /// This run's task chunks taken from a peer's deque rather than the
+    /// worker's own — the load-balancing traffic of the work-stealing
+    /// scheduler.
     pub steals: u64,
 }
 
@@ -261,21 +270,50 @@ impl PoolTrace {
     }
 }
 
-/// A contiguous run of block indices: the unit of work-stealing. Chunks
-/// keep deque traffic off the per-block fast path while leaving enough
-/// granularity for thieves to balance uneven chambers.
-type Task = std::ops::Range<usize>;
+/// One run of a [`ChamberPool::run_batch`] dispatch: a program, the
+/// number of blocks its planner publishes, and the planner itself.
+pub struct PlannedRun<'a, P> {
+    /// The program every block of this run executes.
+    pub program: &'a Arc<dyn BlockProgram>,
+    /// Blocks `plan` publishes, with indices `0..blocks`.
+    pub blocks: usize,
+    /// Chamber `i` of this run is seeded with
+    /// [`chamber_seed`]`(seed_base, i)`.
+    pub seed_base: Option<u64>,
+    /// Draws the run's blocks and publishes each one as it is final.
+    pub plan: P,
+}
+
+/// A contiguous run of one run's block indices: the unit of
+/// work-stealing. Chunks keep deque traffic off the per-block fast path
+/// while leaving enough granularity for thieves to balance uneven
+/// chambers.
+struct Task {
+    run: usize,
+    blocks: std::ops::Range<usize>,
+}
 
 /// Idle sweeps a worker spins through before it starts yielding its
-/// core to the thread drawing the plan.
+/// core to the threads drawing plans.
 const SPINS_BEFORE_YIELD: u32 = 64;
 
-/// Where a [`ChamberPool::run_planned`] planner publishes its blocks.
+/// A block's place between its planner and its chamber. The view is
+/// taken out when the chamber runs, so a block's index list is freed as
+/// soon as its chamber is done with it.
+enum Slot {
+    Empty,
+    Ready(BlockView),
+    Taken,
+}
+
+/// Where a planner publishes its blocks.
 pub struct BlockSink<'a> {
-    slots: &'a [OnceLock<BlockView>],
-    /// The queue idle workers take published blocks from; `None` when
-    /// no worker runs until the plan is complete.
-    injector: Option<&'a Injector<Task>>,
+    slots: &'a [Mutex<Slot>],
+    /// The queue idle workers take published blocks from, and the run
+    /// they belong to; `None` when no worker runs until the plan is
+    /// complete.
+    queue: Option<(&'a Injector<Task>, usize)>,
+    published: usize,
 }
 
 impl BlockSink<'_> {
@@ -284,67 +322,252 @@ impl BlockSink<'_> {
     /// on the uncontended path.
     ///
     /// Panics when `index` is out of range or was already published.
+    #[inline(never)]
     pub fn publish(&mut self, index: usize, view: BlockView) {
-        assert!(
-            self.slots[index].set(view).is_ok(),
-            "block {index} published twice"
-        );
-        if let Some(injector) = self.injector {
-            injector.push(index..index + 1);
+        let fresh = {
+            let mut slot = self.slots[index].lock().expect("block slot poisoned");
+            let fresh = matches!(*slot, Slot::Empty);
+            if fresh {
+                *slot = Slot::Ready(view);
+            }
+            fresh
+        };
+        assert!(fresh, "block {index} published twice");
+        self.published += 1;
+        if let Some((injector, run)) = self.queue {
+            injector.push(Task {
+                run,
+                blocks: index..index + 1,
+            });
         }
     }
 }
 
-/// Ends the plan when dropped — also when the planner panics, so idle
-/// workers drain what was published and exit instead of waiting for
-/// blocks that will never come.
-struct EndOfPlan<'a>(&'a AtomicBool);
+/// What one run of a dispatch carries from admission to its last report.
+struct Run<'a, P> {
+    program: &'a Arc<dyn BlockProgram>,
+    seed_base: Option<u64>,
+    /// `None` once drawn, and for blocks that came ready.
+    plan: Mutex<Option<P>>,
+    views: Vec<Mutex<Slot>>,
+    reports: Vec<OnceLock<ChamberReport>>,
+    /// Blocks still to report, plus one until the draw has ended.
+    remaining: AtomicUsize,
+    admitted: OnceLock<Instant>,
+    drawn: OnceLock<Instant>,
+    finished: OnceLock<Instant>,
+    steals: AtomicU64,
+    /// The planner's panic, or the blocks it failed to publish: raised
+    /// once every other run is done.
+    failure: Mutex<Option<Box<dyn Any + Send>>>,
+}
 
-impl Drop for EndOfPlan<'_> {
-    fn drop(&mut self) {
-        self.0.store(false, Ordering::Release);
+impl<'a, P> Run<'a, P>
+where
+    P: FnOnce(&mut BlockSink<'_>),
+{
+    fn new(
+        program: &'a Arc<dyn BlockProgram>,
+        seed_base: Option<u64>,
+        views: Vec<Slot>,
+        plan: Option<P>,
+    ) -> Self {
+        let blocks = views.len();
+        Run {
+            program,
+            seed_base,
+            plan: Mutex::new(plan),
+            views: views.into_iter().map(Mutex::new).collect(),
+            reports: (0..blocks).map(|_| OnceLock::new()).collect(),
+            remaining: AtomicUsize::new(blocks + 1),
+            admitted: OnceLock::new(),
+            drawn: OnceLock::new(),
+            finished: OnceLock::new(),
+            steals: AtomicU64::new(0),
+            failure: Mutex::new(None),
+        }
+    }
+
+    /// Runs the planner, if the run has one, publishing into `queue`.
+    /// Returns how many slots settle with the draw: its own token plus
+    /// every block the planner did not publish.
+    fn draw(&self, queue: Option<(&Injector<Task>, usize)>) -> usize {
+        let plan = self.plan.lock().expect("plan slot poisoned").take();
+        let mut unpublished = 0;
+        if let Some(plan) = plan {
+            let mut sink = BlockSink {
+                slots: &self.views,
+                queue,
+                published: 0,
+            };
+            let failure = match catch_unwind(AssertUnwindSafe(|| plan(&mut sink))) {
+                Err(panic) => Some(panic),
+                Ok(()) if sink.published < self.views.len() => Some(Box::new(format!(
+                    "the planner published {} of {} blocks",
+                    sink.published,
+                    self.views.len()
+                ))
+                    as Box<dyn Any + Send>),
+                Ok(()) => None,
+            };
+            unpublished = self.views.len() - sink.published;
+            *self.failure.lock().expect("failure slot poisoned") = failure;
+        }
+        let _ = self.drawn.set(Instant::now());
+        1 + unpublished
+    }
+
+    /// Whether the planner panicked or left blocks unpublished.
+    fn failed(&self) -> bool {
+        self.failure
+            .lock()
+            .expect("failure slot poisoned")
+            .is_some()
+    }
+
+    /// Runs block `i` in `chamber` and stores its report.
+    fn run_block(&self, chamber: &Chamber, i: usize) -> Duration {
+        let slot = std::mem::replace(
+            &mut *self.views[i].lock().expect("block slot poisoned"),
+            Slot::Taken,
+        );
+        let Slot::Ready(view) = slot else {
+            panic!("block {i} queued before it was published");
+        };
+        let seed = self.seed_base.map(|b| chamber_seed(b, i as u64));
+        let report = chamber.execute_seeded(Arc::clone(self.program), view, seed);
+        let elapsed = report.elapsed;
+        assert!(self.reports[i].set(report).is_ok(), "block {i} ran twice");
+        elapsed
+    }
+
+    /// Subtracts `n` from the blocks still to report; true when that
+    /// finished the run.
+    fn settle(&self, n: usize) -> bool {
+        let done = self.remaining.fetch_sub(n, Ordering::AcqRel) == n;
+        if done {
+            let _ = self.finished.set(Instant::now());
+        }
+        done
+    }
+
+    /// The run's reports in block order and its trace, or its failure.
+    fn into_result(
+        self,
+        workers_used: usize,
+        busy: Vec<Duration>,
+    ) -> Result<(Vec<ChamberReport>, PoolTrace), Box<dyn Any + Send>> {
+        if let Some(failure) = self.failure.into_inner().expect("failure slot poisoned") {
+            return Err(failure);
+        }
+        let admitted = *self.admitted.get().expect("every run is admitted");
+        let since = |at: &OnceLock<Instant>| {
+            at.get()
+                .map_or(Duration::ZERO, |t| t.saturating_duration_since(admitted))
+        };
+        let trace = PoolTrace {
+            wall: since(&self.finished),
+            drawn: since(&self.drawn),
+            workers_used,
+            busy,
+            steals: self.steals.into_inner(),
+        };
+        let reports = self
+            .reports
+            .into_iter()
+            .map(|r| r.into_inner().expect("every published block ran"))
+            .collect();
+        Ok((reports, trace))
     }
 }
 
 /// What every worker of one parallel dispatch shares.
-struct Dispatch<'a> {
-    program: &'a Arc<dyn BlockProgram>,
+struct Dispatch<'a, P> {
+    runs: &'a [Run<'a, P>],
+    /// Runs whose plan waits for a worker to draw it.
+    draws: Injector<usize>,
+    /// Published blocks, and the chunks of runs admitted after the start.
+    injector: Injector<Task>,
+    stealers: Vec<Stealer<Task>>,
+    chunk: usize,
+    /// The next run to admit once a run in flight finishes.
+    next: AtomicUsize,
+    /// Runs not yet finished. A worker that reads 0 with `Acquire` sees
+    /// every report, which each run stored before its `AcqRel` settle.
+    unfinished: AtomicUsize,
     policy: &'a ChamberPolicy,
-    seed_base: Option<u64>,
-    views: &'a [OnceLock<BlockView>],
-    reports: &'a [OnceLock<ChamberReport>],
-    injector: &'a Injector<Task>,
-    stealers: &'a [Stealer<Task>],
-    /// Set while the planner may still publish blocks. Cleared with
-    /// `Release` after the last push; a worker that reads it clear with
-    /// `Acquire` before a sweep sees every published task in that sweep.
-    planning: &'a AtomicBool,
-    steals: &'a AtomicU64,
 }
 
-impl Dispatch<'_> {
-    /// One worker: run chambers until no task is left anywhere and no
-    /// more can be published. Returns the time spent inside chambers.
-    fn work(&self, id: usize, own: &Worker<Task>) -> Duration {
+impl<P> Dispatch<'_, P>
+where
+    P: FnOnce(&mut BlockSink<'_>),
+{
+    /// Puts run `r` in flight: its plan on the draw queue, or its ready
+    /// blocks in chunks — dealt round-robin onto `deques` at the start of
+    /// the dispatch, onto the shared injector later.
+    fn admit(&self, r: usize, deques: Option<&[Worker<Task>]>) {
+        let run = &self.runs[r];
+        let _ = run.admitted.set(Instant::now());
+        if run.plan.lock().expect("plan slot poisoned").is_some() {
+            self.draws.push(r);
+            return;
+        }
+        let n = run.views.len();
+        for (t, start) in (0..n).step_by(self.chunk).enumerate() {
+            let task = Task {
+                run: r,
+                blocks: start..(start + self.chunk).min(n),
+            };
+            match deques {
+                Some(deques) => deques[t % deques.len()].push(task),
+                None => self.injector.push(task),
+            }
+        }
+        self.settle(r, run.draw(None), deques);
+    }
+
+    /// Settles `n` of run `r`'s slots; the worker that finishes a run
+    /// admits the next one.
+    fn settle(&self, r: usize, n: usize, deques: Option<&[Worker<Task>]>) {
+        if self.runs[r].settle(n) {
+            let next = self.next.fetch_add(1, Ordering::Relaxed);
+            if next < self.runs.len() {
+                self.admit(next, deques);
+            }
+            self.unfinished.fetch_sub(1, Ordering::Release);
+        }
+    }
+
+    /// Draws run `r`'s plan, publishing its blocks to every worker.
+    fn draw(&self, r: usize) {
+        let drawn = self.runs[r].draw(Some((&self.injector, r)));
+        self.settle(r, drawn, None);
+    }
+
+    /// One worker: draw plans and run chambers until every run is done.
+    /// Returns the time spent inside each run's chambers.
+    fn work(&self, id: usize, own: &Worker<Task>) -> Vec<Duration> {
         let chamber = Chamber::new(self.policy.clone());
-        let mut busy = Duration::ZERO;
+        let mut busy = vec![Duration::ZERO; self.runs.len()];
         let mut idle = 0u32;
         loop {
-            let planning = self.planning.load(Ordering::Acquire);
+            // Draws first: a plan in progress is what keeps the other
+            // workers fed.
+            if let Some(r) = self.draws.steal().success() {
+                idle = 0;
+                self.draw(r);
+                continue;
+            }
             match self.next_task(id, own) {
                 Some(task) => {
                     idle = 0;
-                    for i in task {
-                        let view = self.views[i].get().expect("queued blocks are published");
-                        let seed = self.seed_base.map(|b| chamber_seed(b, i as u64));
-                        let report =
-                            chamber.execute_seeded(Arc::clone(self.program), view.clone(), seed);
-                        busy += report.elapsed;
-                        assert!(self.reports[i].set(report).is_ok(), "block {i} ran twice");
+                    let run = &self.runs[task.run];
+                    for i in task.blocks {
+                        busy[task.run] += run.run_block(&chamber, i);
+                        self.settle(task.run, 1, None);
                     }
                 }
-                // Nothing queued and nothing more to come.
-                None if !planning => break,
+                None if self.unfinished.load(Ordering::Acquire) == 0 => break,
                 None if idle < SPINS_BEFORE_YIELD => {
                     idle += 1;
                     std::hint::spin_loop();
@@ -375,7 +598,7 @@ impl Dispatch<'_> {
                 }
                 match stealer.steal() {
                     Steal::Success(task) => {
-                        self.steals.fetch_add(1, Ordering::Relaxed);
+                        self.runs[task.run].steals.fetch_add(1, Ordering::Relaxed);
                         return Some(task);
                     }
                     Steal::Retry => retry = true,
@@ -479,37 +702,29 @@ impl ChamberPool {
     /// per-query seed base through to the chambers (chamber `i` receives
     /// [`chamber_seed`]`(base, i)` via its scratch space).
     ///
-    /// Every view is published before any worker starts, chunked and
-    /// dealt round-robin onto the workers' deques; idle workers steal
-    /// from busy peers. Workers clone each view — an O(1) pair of `Arc`
-    /// bumps, never a row copy — so shipping work to the pool costs the
-    /// same regardless of γ or dataset size.
+    /// Every view is ready before any worker starts: they are chunked
+    /// and dealt round-robin onto the workers' deques, and idle workers
+    /// steal from busy peers. Handing a view to a chamber moves it —
+    /// never a row copy — so shipping work to the pool costs the same
+    /// regardless of γ or dataset size.
     pub fn run_all_traced_seeded(
         &self,
         program: &Arc<dyn BlockProgram>,
         views: Vec<BlockView>,
         seed_base: Option<u64>,
     ) -> (Vec<ChamberReport>, PoolTrace) {
-        let slots = views.into_iter().map(OnceLock::from).collect();
-        self.dispatch(program, slots, seed_base, None::<fn(&mut BlockSink<'_>)>)
+        let ready = views.into_iter().map(Slot::Ready).collect();
+        let run = Run::new(program, seed_base, ready, None::<fn(&mut BlockSink<'_>)>);
+        one(self.dispatch(vec![run]))
     }
 
-    /// Runs `program` on `blocks` blocks that `plan` publishes, on the
-    /// calling thread, while the pool is already running chambers on the
-    /// ones published so far.
+    /// Runs `program` on `blocks` blocks that `plan` publishes, while the
+    /// pool is already running chambers on the ones published so far —
+    /// a [`ChamberPool::run_batch`] of one run.
     ///
-    /// The `workers − 1` helper threads start before `plan` runs, so
-    /// their start-up hides under it; they take published blocks from a
-    /// shared queue, spinning a bounded number of times and then
-    /// yielding while it is empty. When `plan` returns, the caller works
-    /// too. A one-worker pool runs `plan` first and then every chamber
-    /// inline, in index order, on no thread of its own.
-    ///
-    /// Answers do not depend on when a block is published or which
-    /// worker runs it: chamber `i` is seeded with [`chamber_seed`]`(base,
-    /// i)` and its report lands in slot `i`. `plan` must publish each
-    /// index in `0..blocks` exactly once; if it panics, the workers
-    /// finish what was published and the panic propagates.
+    /// `plan` must publish each index in `0..blocks` exactly once; if it
+    /// panics, the workers finish what was published and the panic
+    /// propagates.
     pub fn run_planned<P>(
         &self,
         program: &Arc<dyn BlockProgram>,
@@ -518,112 +733,147 @@ impl ChamberPool {
         plan: P,
     ) -> (Vec<ChamberReport>, PoolTrace)
     where
-        P: FnOnce(&mut BlockSink<'_>),
+        P: FnOnce(&mut BlockSink<'_>) + Send,
     {
-        let slots = (0..blocks).map(|_| OnceLock::new()).collect();
-        self.dispatch(program, slots, seed_base, Some(plan))
+        one(self.run_batch(vec![PlannedRun {
+            program,
+            blocks,
+            seed_base,
+            plan,
+        }]))
     }
 
-    /// The one dispatch behind [`ChamberPool::run_all_traced_seeded`]
-    /// (every view in `views` already, `plan` is `None`) and
-    /// [`ChamberPool::run_planned`] (empty slots that `plan` fills).
-    /// Reports land in per-block slots and are returned in block order:
-    /// the index-ordered reduce that, together with pre-split seeds,
-    /// makes answers bit-identical to sequential execution.
-    fn dispatch<P>(
-        &self,
-        program: &Arc<dyn BlockProgram>,
-        views: Vec<OnceLock<BlockView>>,
-        seed_base: Option<u64>,
-        plan: Option<P>,
-    ) -> (Vec<ChamberReport>, PoolTrace)
+    /// Runs several queries' blocks in one dispatch, each drawn by its
+    /// own planner, and returns each run's reports (in block order) and
+    /// trace, in run order.
+    ///
+    /// The `workers − 1` helper threads start once for the whole batch;
+    /// the caller is worker 0. Drawing a run's plan is a task any idle
+    /// worker takes, ahead of any chamber; the run's chambers start as
+    /// its blocks are published. At most `workers` runs are in flight at
+    /// once: the worker that takes a run's last report admits the next
+    /// run, so block index lists are held for only a few runs at a time.
+    /// A one-worker pool draws each plan and then runs its chambers
+    /// inline, in index order, run after run, on no thread of its own.
+    ///
+    /// Answers do not depend on when a block is published or which
+    /// worker runs it: chamber `i` of a run is seeded with
+    /// [`chamber_seed`]`(seed_base, i)` and its report lands in slot `i`.
+    /// Each planner must publish every index in `0..blocks` exactly once;
+    /// if a planner panics (or publishes too few blocks), the other runs
+    /// finish and then the first such failure propagates as a panic.
+    pub fn run_batch<P>(&self, runs: Vec<PlannedRun<'_, P>>) -> Vec<(Vec<ChamberReport>, PoolTrace)>
+    where
+        P: FnOnce(&mut BlockSink<'_>) + Send,
+    {
+        let runs = runs
+            .into_iter()
+            .map(|run| {
+                let empty = (0..run.blocks).map(|_| Slot::Empty).collect();
+                Run::new(run.program, run.seed_base, empty, Some(run.plan))
+            })
+            .collect();
+        self.dispatch(runs)
+    }
+
+    /// The one dispatch behind every entry point. Reports land in
+    /// per-block slots and are returned in block order: the
+    /// index-ordered reduce that, together with pre-split seeds, makes
+    /// answers bit-identical to sequential execution.
+    fn dispatch<P>(&self, runs: Vec<Run<'_, P>>) -> Vec<(Vec<ChamberReport>, PoolTrace)>
+    where
+        P: FnOnce(&mut BlockSink<'_>) + Send,
+    {
+        let total: usize = runs.iter().map(|r| r.views.len()).sum();
+        let workers_used = self.workers.min(total);
+        let busy: Vec<Vec<Duration>> = if workers_used <= 1 {
+            self.run_inline(&runs)
+        } else {
+            self.run_parallel(&runs, workers_used)
+        };
+        let workers_used = workers_used.max(usize::from(total > 0));
+        let mut failure = None;
+        let results = runs
+            .into_iter()
+            .enumerate()
+            .filter_map(|(r, run)| {
+                let busy_r = busy.iter().map(|b| b[r]).collect();
+                match run.into_result(workers_used, busy_r) {
+                    Ok(result) => Some(result),
+                    Err(panic) => {
+                        failure.get_or_insert(panic);
+                        None
+                    }
+                }
+            })
+            .collect();
+        if let Some(panic) = failure {
+            resume_unwind(panic);
+        }
+        results
+    }
+
+    /// Sequential path: one worker (or at most one block in all) draws
+    /// each plan and then runs its chambers inline on the calling thread
+    /// — no spawns, no deques. This keeps single-threaded policies
+    /// (latency-sensitive serve paths, determinism baselines) free of
+    /// scheduler overhead.
+    fn run_inline<P>(&self, runs: &[Run<'_, P>]) -> Vec<Vec<Duration>>
     where
         P: FnOnce(&mut BlockSink<'_>),
     {
-        let n = views.len();
-        let start = Instant::now();
-        let workers_used = self.workers.min(n);
-
-        // Sequential path: one worker (or at most one block) plans
-        // first, then runs inline on the calling thread — no spawns, no
-        // deques, no slot locking. This keeps single-threaded policies
-        // (latency-sensitive serve paths, determinism baselines) free of
-        // scheduler overhead.
-        if workers_used <= 1 {
-            if let Some(plan) = plan {
-                plan(&mut BlockSink {
-                    slots: &views,
-                    injector: None,
-                });
+        let chamber = Chamber::new(self.policy.clone());
+        let mut busy = vec![Duration::ZERO; runs.len()];
+        for (r, run) in runs.iter().enumerate() {
+            let _ = run.admitted.set(Instant::now());
+            let drawn = run.draw(None);
+            if run.settle(drawn) || run.failed() {
+                continue;
             }
-            if n == 0 {
-                return (Vec::new(), PoolTrace::default());
+            for i in 0..run.views.len() {
+                busy[r] += run.run_block(&chamber, i);
+                run.settle(1);
             }
-            let chamber = Chamber::new(self.policy.clone());
-            let mut busy = Duration::ZERO;
-            let reports: Vec<ChamberReport> = views
-                .into_iter()
-                .enumerate()
-                .map(|(i, view)| {
-                    let view = view.into_inner().expect("planner published every block");
-                    let seed = seed_base.map(|b| chamber_seed(b, i as u64));
-                    let report = chamber.execute_seeded(Arc::clone(program), view, seed);
-                    busy += report.elapsed;
-                    report
-                })
-                .collect();
-            let trace = PoolTrace {
-                wall: start.elapsed(),
-                workers_used: 1,
-                busy: vec![busy],
-                steals: 0,
-            };
-            return (reports, trace);
         }
+        vec![busy]
+    }
 
+    /// Parallel path: `workers_used` workers, the caller among them.
+    fn run_parallel<P>(&self, runs: &[Run<'_, P>], workers_used: usize) -> Vec<Vec<Duration>>
+    where
+        P: FnOnce(&mut BlockSink<'_>) + Send,
+    {
         let mut local: Vec<Worker<Task>> = (0..workers_used).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<Task>> = local.iter().map(Worker::stealer).collect();
-        if plan.is_none() {
-            // Pre-split the index space into chunks and deal them
-            // round-robin onto per-worker deques: every worker starts
-            // with local work and only touches a peer's deque when its
-            // own runs dry.
-            let chunk = self.exec.chunk_for(n, workers_used);
-            for (t, task_start) in (0..n).step_by(chunk).enumerate() {
-                local[t % workers_used].push(task_start..(task_start + chunk).min(n));
-            }
-        }
-        let reports: Vec<OnceLock<ChamberReport>> = (0..n).map(|_| OnceLock::new()).collect();
-        let injector = Injector::new();
-        let planning = AtomicBool::new(plan.is_some());
-        let steals = AtomicU64::new(0);
+        let in_flight = workers_used.min(runs.len());
+        let total: usize = runs.iter().map(|r| r.views.len()).sum();
         let shared = Dispatch {
-            program,
+            runs,
+            draws: Injector::new(),
+            injector: Injector::new(),
+            stealers: local.iter().map(Worker::stealer).collect(),
+            chunk: self.exec.chunk_for(total, workers_used),
+            next: AtomicUsize::new(in_flight),
+            unfinished: AtomicUsize::new(runs.len()),
             policy: &self.policy,
-            seed_base,
-            views: &views,
-            reports: &reports,
-            injector: &injector,
-            stealers: &stealers,
-            planning: &planning,
-            steals: &steals,
         };
+        for r in 0..in_flight {
+            shared.admit(r, Some(&local));
+        }
 
-        // The caller is worker 0; the helpers start before the plan.
+        // The caller is worker 0 and draws the first plan itself; the
+        // helpers start once for the batch, before that draw, so their
+        // start-up hides under it.
         let own = local.remove(0);
-        let busy: Vec<Duration> = crossbeam::thread::scope(|scope| {
+        let first = shared.draws.steal().success();
+        crossbeam::thread::scope(|scope| {
             let shared = &shared;
             let helpers: Vec<_> = local
                 .into_iter()
                 .enumerate()
                 .map(|(k, queue)| scope.spawn(move |_| shared.work(k + 1, &queue)))
                 .collect();
-            if let Some(plan) = plan {
-                let _end = EndOfPlan(&planning);
-                plan(&mut BlockSink {
-                    slots: &views,
-                    injector: Some(&injector),
-                });
+            if let Some(r) = first {
+                shared.draw(r);
             }
             let mine = shared.work(0, &own);
             std::iter::once(mine)
@@ -634,20 +884,15 @@ impl ChamberPool {
                 )
                 .collect()
         })
-        .expect("chamber pool worker panicked");
-
-        let trace = PoolTrace {
-            wall: start.elapsed(),
-            workers_used,
-            busy,
-            steals: steals.into_inner(),
-        };
-        let reports = reports
-            .into_iter()
-            .map(|r| r.into_inner().expect("planner published every block"))
-            .collect();
-        (reports, trace)
+        .expect("chamber pool worker panicked")
     }
+}
+
+/// The only result of a one-run dispatch.
+fn one(mut results: Vec<(Vec<ChamberReport>, PoolTrace)>) -> (Vec<ChamberReport>, PoolTrace) {
+    results
+        .pop()
+        .expect("a dispatch returns one result per run")
 }
 
 #[cfg(test)]
@@ -1160,6 +1405,175 @@ mod tests {
             .recv_timeout(Duration::from_secs(30))
             .expect("dispatch hung after its planner panicked");
         assert_eq!(message.as_deref(), Some("planner failed mid-plan"));
+    }
+
+    /// A planned run of `blocks` one-row blocks holding `base + i`,
+    /// published last first.
+    fn reversed_run(
+        program: &Arc<dyn BlockProgram>,
+        base: usize,
+        blocks: usize,
+    ) -> PlannedRun<'_, impl FnOnce(&mut BlockSink<'_>) + Send> {
+        PlannedRun {
+            program,
+            blocks,
+            seed_base: Some(base as u64),
+            plan: move |sink: &mut BlockSink<'_>| {
+                for i in (0..blocks).rev() {
+                    sink.publish(i, view(&[vec![(base + i) as f64]]));
+                }
+            },
+        }
+    }
+
+    #[test]
+    fn batch_reports_equal_separate_planned_runs() {
+        struct SeedHash;
+        impl BlockProgram for SeedHash {
+            fn run(&self, block: &BlockView, scratch: &mut crate::Scratch) -> Vec<f64> {
+                let s = scratch.seed().expect("pool supplies seeds");
+                vec![(s % 10_000) as f64 + block.row(0)[0]]
+            }
+            fn output_dimension(&self) -> usize {
+                1
+            }
+        }
+        let p: Arc<dyn BlockProgram> = Arc::new(SeedHash);
+        let sizes = [5usize, 0, 17, 1, 9, 30, 2];
+        let bits = |reports: &[ChamberReport]| -> Vec<u64> {
+            reports.iter().map(|r| r.output[0].to_bits()).collect()
+        };
+        for threads in [1, 2, 8] {
+            let pool = ChamberPool::with_execution(
+                ChamberPolicy::unbounded(),
+                ExecutionPolicy::parallel(threads).chunk(1),
+            );
+            let separate: Vec<Vec<u64>> = sizes
+                .iter()
+                .enumerate()
+                .map(|(r, &blocks)| {
+                    let run = reversed_run(&p, 100 * r, blocks);
+                    bits(
+                        &pool
+                            .run_planned(run.program, run.blocks, run.seed_base, run.plan)
+                            .0,
+                    )
+                })
+                .collect();
+            let runs = sizes
+                .iter()
+                .enumerate()
+                .map(|(r, &blocks)| reversed_run(&p, 100 * r, blocks))
+                .collect();
+            let batch = pool.run_batch(runs);
+            assert_eq!(batch.len(), sizes.len());
+            for (r, (reports, trace)) in batch.iter().enumerate() {
+                assert_eq!(bits(reports), separate[r], "{threads} threads, run {r}");
+                assert!(trace.drawn <= trace.wall, "run {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn batch_planner_panic_propagates_after_the_other_runs_finish() {
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&ran);
+        let p: Arc<dyn BlockProgram> = Arc::new(ClosureProgram::new(1, move |b: &BlockView| {
+            seen.lock().unwrap().push(b.row(0)[0] as usize);
+            vec![1.0]
+        }));
+        for threads in [1, 2, 4] {
+            ran.lock().unwrap().clear();
+            let pool = ChamberPool::new(ChamberPolicy::unbounded(), threads);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                let runs = (0..6)
+                    .map(|r| PlannedRun {
+                        program: &p,
+                        blocks: 4,
+                        seed_base: None,
+                        plan: move |sink: &mut BlockSink<'_>| {
+                            for i in 0..4 {
+                                if r == 1 && i == 2 {
+                                    panic!("planner 1 failed");
+                                }
+                                sink.publish(i, view(&[vec![(10 * r + i) as f64]]));
+                            }
+                        },
+                    })
+                    .collect();
+                pool.run_batch(runs)
+            }));
+            let message = result
+                .err()
+                .and_then(|e| e.downcast_ref::<&str>().map(|s| s.to_string()));
+            assert_eq!(message.as_deref(), Some("planner 1 failed"));
+            let mut ran = ran.lock().unwrap().clone();
+            ran.sort_unstable();
+            // Every block of the other five runs ran; of run 1, at most
+            // the two blocks it published.
+            let others: Vec<usize> = ran.iter().copied().filter(|v| v / 10 != 1).collect();
+            let expected: Vec<usize> = (0..6)
+                .filter(|&r| r != 1)
+                .flat_map(|r| (0..4).map(move |i| 10 * r + i))
+                .collect();
+            assert_eq!(others, expected, "{threads} threads");
+            assert!(ran.iter().filter(|v| *v / 10 == 1).all(|&v| v < 12));
+        }
+    }
+
+    #[test]
+    fn batch_keeps_at_most_a_pool_width_of_runs_in_flight() {
+        // A run is in flight from the start of its draw to its last
+        // report; the planners and programs track the count.
+        let live = Arc::new(std::sync::atomic::AtomicIsize::new(0));
+        let peak = Arc::new(std::sync::atomic::AtomicIsize::new(0));
+        let left = Arc::new(Mutex::new(std::collections::HashMap::new()));
+        let (live_p, left_p) = (Arc::clone(&live), Arc::clone(&left));
+        let p: Arc<dyn BlockProgram> = Arc::new(ClosureProgram::new(1, move |b: &BlockView| {
+            let run = b.row(0)[0] as usize / 100;
+            let mut left = left_p.lock().unwrap();
+            let remaining = left.get_mut(&run).expect("drawn before it runs");
+            *remaining -= 1;
+            if *remaining == 0 {
+                live_p.fetch_sub(1, Ordering::SeqCst);
+            }
+            vec![1.0]
+        }));
+        for threads in [2, 3] {
+            peak.store(0, Ordering::SeqCst);
+            let pool = ChamberPool::with_execution(
+                ChamberPolicy::unbounded(),
+                ExecutionPolicy::parallel(threads).chunk(1),
+            );
+            let runs = (0..24)
+                .map(|r| {
+                    let (live, peak, left) =
+                        (Arc::clone(&live), Arc::clone(&peak), Arc::clone(&left));
+                    PlannedRun {
+                        program: &p,
+                        blocks: 6,
+                        seed_base: None,
+                        plan: move |sink: &mut BlockSink<'_>| {
+                            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+                            peak.fetch_max(now, Ordering::SeqCst);
+                            left.lock().unwrap().insert(r, 6);
+                            for i in 0..6 {
+                                sink.publish(i, view(&[vec![(100 * r + i) as f64]]));
+                                std::thread::yield_now();
+                            }
+                        },
+                    }
+                })
+                .collect();
+            let results = pool.run_batch(runs);
+            assert_eq!(results.len(), 24);
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(
+                (1..=threads as isize).contains(&peak),
+                "{peak} runs in flight on {threads} workers"
+            );
+            assert_eq!(live.load(Ordering::SeqCst), 0);
+        }
     }
 
     #[test]

@@ -41,9 +41,11 @@ pub mod program;
 pub mod scratch;
 pub mod view;
 
-pub use chamber::{BlockSink, Chamber, ChamberOutcome, ChamberPool, ChamberReport, PoolTrace};
+pub use chamber::{
+    BlockSink, Chamber, ChamberOutcome, ChamberPool, ChamberReport, PlannedRun, PoolTrace,
+};
 pub use exec::ExecutionPolicy;
 pub use policy::ChamberPolicy;
 pub use program::{BlockProgram, ClosureProgram, RowSliceProgram};
 pub use scratch::Scratch;
-pub use view::{BlockRows, BlockView, RowStore};
+pub use view::{BlockRows, BlockView, RowStore, RowTags};

@@ -411,11 +411,48 @@ impl BlockView {
         }
     }
 
-    /// The shared row store this view borrows from. Exposed so callers
-    /// can assert zero-copy sharing (`Arc::ptr_eq`); the store itself is
-    /// immutable.
-    pub fn store(&self) -> &Arc<RowStore> {
-        &self.store
+    /// Whether this view windows `store` itself (`Arc::ptr_eq`), so
+    /// callers can assert zero-copy sharing.
+    ///
+    /// The view never hands its store out: a program holding a view can
+    /// read its block's rows and nothing else.
+    ///
+    /// ```compile_fail
+    /// use gupt_sandbox::{BlockView, ClosureProgram};
+    ///
+    /// // A view program cannot name the table behind its block.
+    /// let _ = ClosureProgram::new(1, |block: &BlockView| {
+    ///     vec![block.store().iter_rows().count() as f64]
+    /// });
+    /// ```
+    pub fn shares_store(&self, store: &Arc<RowStore>) -> bool {
+        Arc::ptr_eq(&self.store, store)
+    }
+
+    /// The block's rows whose tag in `tags` equals `tag`, in block order,
+    /// or `None` when `tags` was classified over a different store.
+    ///
+    /// Only the tags of the block's own rows are read, and a row's values
+    /// only when its tag matches, so a filtered pass over a block costs
+    /// one `u16` comparison per row instead of re-evaluating the filter.
+    pub fn rows_tagged<'a>(
+        &'a self,
+        tags: &'a RowTags,
+        tag: u16,
+    ) -> Option<impl Iterator<Item = &'a [f64]> + 'a> {
+        if !Arc::ptr_eq(&self.store, &tags.store) {
+            return None;
+        }
+        let positions = match &self.indices {
+            ViewIndices::Dense { start, len } => Positions::Dense(*start..start + len),
+            ViewIndices::Sparse(idx) => Positions::Sparse(idx.iter()),
+        };
+        let store = &*self.store;
+        Some(
+            positions
+                .filter(move |&i| tags.tags[i] == tag)
+                .map(move |i| store.row(i)),
+        )
     }
 
     /// Bytes of *index* bookkeeping this view carries (0 for dense
@@ -467,6 +504,51 @@ impl BlockView {
                 .iter()
                 .map(|&i| self.store.row(i)[d].min(hi).max(lo))
                 .sum(),
+        }
+    }
+}
+
+/// The store positions a view covers, in block order.
+enum Positions<'a> {
+    Dense(std::ops::Range<usize>),
+    Sparse(std::slice::Iter<'a, usize>),
+}
+
+impl Iterator for Positions<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            Positions::Dense(range) => range.next(),
+            Positions::Sparse(indices) => indices.next().copied(),
+        }
+    }
+}
+
+/// One `u16` tag per row of a store, computed once by a pure function
+/// of the row — e.g. the rank of the row's `GROUP BY` key, so every
+/// per-group program tests a tag instead of re-evaluating the filter.
+///
+/// The tags keep the store they were classified over alive, and
+/// [`BlockView::rows_tagged`] uses them only for views over that same
+/// store. Holding the `Arc` also means an append during the tags'
+/// lifetime copies the store rather than growing it in place, so the
+/// tags never describe rows they were not computed from. Tags are read
+/// only through a view, by the view's own rows: no store position
+/// reaches a program.
+#[derive(Debug, Clone)]
+pub struct RowTags {
+    store: Arc<RowStore>,
+    tags: Arc<[u16]>,
+}
+
+impl RowTags {
+    /// Tags every row of `store` with `f(row)`, in one pass.
+    pub fn classify(store: &Arc<RowStore>, f: impl Fn(&[f64]) -> u16) -> RowTags {
+        RowTags {
+            store: Arc::clone(store),
+            tags: store.iter_rows().map(f).collect(),
         }
     }
 }

@@ -47,9 +47,11 @@
 use crate::ast::{AggFunc, Statement};
 use crate::error::SqlError;
 use crate::parser::parse;
-use crate::plan::{aggregate_spec, validate, PlanContext, RowFilter};
-use gupt_core::{GuptRuntime, QuerySpec, SqlTelemetry, TelemetryReport};
+use crate::plan::{aggregate_spec, grouped_aggregate_spec, validate, PlanContext, RowFilter};
+use gupt_core::{GuptRuntime, QuerySpec, RowStore, RowTags, SqlTelemetry, TelemetryReport};
 use gupt_dp::Epsilon;
+use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// Hard cap on `GROUP BY` cardinality: beyond this the per-group budget
 /// shares are uselessly small and the batch uselessly large.
@@ -238,13 +240,15 @@ fn column_labels(stmt: &Statement) -> Vec<String> {
 fn compile_aggregates(
     stmt: &Statement,
     filter: &RowFilter,
+    group: Option<&(RowTags, u16)>,
     ctx: &PlanContext,
     options: &SqlOptions,
 ) -> Result<Vec<QuerySpec>, SqlError> {
     stmt.aggregates
         .iter()
         .map(|agg| {
-            let plan = aggregate_spec(agg, filter, ctx, options.block_size)?;
+            let plan =
+                grouped_aggregate_spec(agg, filter, ctx, options.block_size, group.cloned())?;
             Ok(finish_spec(plan.spec, options))
         })
         .collect()
@@ -280,7 +284,7 @@ fn run_ungrouped(
         predicate: stmt.predicate.clone(),
         group_key: Vec::new(),
     };
-    let mut specs = compile_aggregates(stmt, &filter, ctx, options)?;
+    let mut specs = compile_aggregates(stmt, &filter, None, ctx, options)?;
 
     let (values, epsilon_spent, telemetry) = if specs.len() == 1 {
         // Single aggregate: one plain run, bit-identical to the
@@ -299,9 +303,8 @@ fn run_ungrouped(
         // Multi-aggregate: §5.2 batch under the statement budget.
         let batch = runtime.run_batch_as(&stmt.dataset, principal, specs, epsilon)?;
         let values = batch.answers.iter().map(|a| a.values[0]).collect();
-        let spent = batch.allocations.iter().sum();
         let telemetry = batch.answers.into_iter().find_map(|a| a.telemetry);
-        (values, spent, telemetry)
+        (values, batch.charged, telemetry)
     };
 
     Ok(SqlAnswer {
@@ -327,15 +330,8 @@ fn run_grouped(
     options: &SqlOptions,
     epsilon: Epsilon,
 ) -> Result<SqlAnswer, SqlError> {
-    let keys = group_keys(runtime, stmt)?;
-    if keys.len() > MAX_GROUPS {
-        // Deliberately generic: the true cardinality is a raw,
-        // data-dependent statistic and must not ride out on an
-        // uncharged error path.
-        return Err(SqlError::plan(format!(
-            "GROUP BY exceeds the maximum of {MAX_GROUPS} groups"
-        )));
-    }
+    let snapshot = runtime.dataset_handle(&stmt.dataset)?.snapshot();
+    let Groups { keys, tags } = classify_groups(snapshot.store(), stmt)?;
     if keys.is_empty() {
         // No row matches the predicate. The key *set* is enumerated
         // from raw rows, so returning an uncharged empty answer here
@@ -360,7 +356,7 @@ fn run_grouped(
     let specs_per_group = stmt.aggregates.len() + usize::from(needs_hidden_count);
 
     let mut specs = Vec::with_capacity(keys.len() * specs_per_group);
-    for key in &keys {
+    for (g, key) in keys.iter().enumerate() {
         let filter = RowFilter {
             predicate: stmt.predicate.clone(),
             group_key: stmt
@@ -370,19 +366,26 @@ fn run_grouped(
                 .zip(key.iter().copied())
                 .collect(),
         };
-        specs.extend(compile_aggregates(stmt, &filter, ctx, options)?);
+        let group = tags.as_ref().map(|tags| (tags.clone(), g as u16));
+        specs.extend(compile_aggregates(
+            stmt,
+            &filter,
+            group.as_ref(),
+            ctx,
+            options,
+        )?);
         if needs_hidden_count {
             let count_agg = crate::ast::Aggregate {
                 func: AggFunc::Count,
                 column: None,
             };
-            let plan = aggregate_spec(&count_agg, &filter, ctx, options.block_size)?;
+            let plan = grouped_aggregate_spec(&count_agg, &filter, ctx, options.block_size, group)?;
             specs.push(finish_spec(plan.spec, options));
         }
     }
 
     let batch = runtime.run_batch_as(&stmt.dataset, principal, specs, epsilon)?;
-    let epsilon_spent: f64 = batch.allocations.iter().sum();
+    let epsilon_spent = batch.charged;
     let telemetry = batch.answers.iter().find_map(|a| a.telemetry.clone());
 
     let mut rows = Vec::with_capacity(keys.len());
@@ -452,12 +455,11 @@ fn run_empty_grouped(
         vec![finish_spec(plan.spec, options)],
         epsilon,
     )?;
-    let epsilon_spent = batch.allocations.iter().sum();
     let telemetry = batch.answers.into_iter().find_map(|a| a.telemetry);
     Ok(SqlAnswer {
         columns: column_labels(stmt),
         rows: Vec::new(),
-        epsilon_spent,
+        epsilon_spent: batch.charged,
         suppressed_groups: 0,
         statements_parsed: 1,
         statements_planned: 1,
@@ -465,41 +467,154 @@ fn run_empty_grouped(
     })
 }
 
-/// Enumerates the distinct group-key tuples of rows matching the
-/// `WHERE` predicate, in ascending lexicographic order.
+/// A grouped statement's keys, and each row's group.
+struct Groups {
+    /// The distinct key tuples of the rows the `WHERE` predicate
+    /// passes, in ascending lexicographic `total_cmp` order (with `==`
+    /// duplicates merged as a sort + dedup merges them).
+    keys: Vec<Vec<f64>>,
+    /// Each row tagged with the rank of the one key it matches, or
+    /// [`NO_GROUP`]. `None` when two keys compare `==` — a `-0.0` and a
+    /// `0.0` tuple the sort left apart — so that a row matches both and
+    /// every sub-plan keeps its filter.
+    tags: Option<RowTags>,
+}
+
+/// The tag of a row the `WHERE` predicate fails or no key matches.
+const NO_GROUP: u16 = u16::MAX;
+
+const _: () = assert!(
+    MAX_GROUPS < NO_GROUP as usize,
+    "ranks must fit below NO_GROUP"
+);
+
+/// The over-cap refusal. Deliberately generic: the true cardinality is
+/// a raw, data-dependent statistic and must not ride out on an
+/// uncharged error path.
+fn too_many_groups() -> SqlError {
+    SqlError::plan(format!(
+        "GROUP BY exceeds the maximum of {MAX_GROUPS} groups"
+    ))
+}
+
+/// Classifies the rows of `store` for a grouped statement: the distinct
+/// key tuples of the rows the `WHERE` predicate passes, and each row's
+/// key rank — two passes over the rows, neither allocating per row.
 ///
-/// This is a *trusted planner* step — it reads raw rows through
-/// [`gupt_core::DatasetHandle::snapshot`], never releases them, and the
-/// key set it produces is only published after the per-group noisy
-/// counts clear the minimum-frequency gate.
-fn group_keys(runtime: &GuptRuntime, stmt: &Statement) -> Result<Vec<Vec<f64>>, SqlError> {
-    let handle = runtime.dataset_handle(&stmt.dataset)?;
-    let dataset = handle.snapshot();
-    let store = dataset.store();
-    let mut keys: Vec<Vec<f64>> = Vec::new();
+/// This is a *trusted planner* step — it reads raw rows of the
+/// statement's snapshot, never releases them, and the key set it
+/// produces is only published after the per-group noisy counts clear
+/// the minimum-frequency gate. A row's tag is a function of that row
+/// and of the key list the sub-plans already bake in as filters.
+///
+/// Pass 1 keeps each distinct key once per bit pattern, in `total_cmp`
+/// order (rows whose key holds a NaN, which equals nothing, each keep
+/// their own), and the key list is then sorted and deduplicated exactly
+/// as before. Counting stops, and the generic over-cap error follows,
+/// once more than [`MAX_GROUPS`] keys are certain. Pass 2 tags each row
+/// with its key's rank, found by binary search.
+fn classify_groups(store: &Arc<RowStore>, stmt: &Statement) -> Result<Groups, SqlError> {
+    let cols = &stmt.group_by;
+    let passes = |row: &[f64]| stmt.predicate.as_ref().is_none_or(|p| p.matches(row));
+    // Where the key of `row` is among the sorted `patterns`.
+    let find = |patterns: &[Box<[f64]>], row: &[f64]| {
+        patterns.binary_search_by(|key| {
+            key.iter()
+                .zip(cols)
+                .map(|(k, &c)| k.total_cmp(&row[c]))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+        })
+    };
+
+    // Pass 1: the distinct non-NaN key patterns, and a key per NaN row.
+    let mut patterns: Vec<Box<[f64]>> = Vec::new();
+    let mut nan_keys: Vec<Vec<f64>> = Vec::new();
     for row in store.iter_rows() {
-        if let Some(pred) = &stmt.predicate {
-            if !pred.matches(row) {
-                continue;
-            }
+        if !passes(row) {
+            continue;
         }
-        keys.push(stmt.group_by.iter().map(|&c| row[c]).collect());
+        if cols.iter().any(|&c| row[c].is_nan()) {
+            nan_keys.push(cols.iter().map(|&c| row[c]).collect());
+        } else if let Err(at) = find(&patterns, row) {
+            patterns.insert(at, cols.iter().map(|&c| row[c]).collect());
+        } else {
+            continue;
+        }
+        // The dedup merges neighbours that compare `==` (a `-0.0` beside
+        // a `0.0`), so the patterns less such pairs are a lower bound on
+        // the key count: the loop never stops while the keys fit.
+        let merged = patterns.windows(2).filter(|w| w[0] == w[1]).count();
+        if patterns.len() - merged + nan_keys.len() > MAX_GROUPS {
+            return Err(too_many_groups());
+        }
     }
-    keys.sort_by(|a, b| {
-        a.iter()
-            .zip(b.iter())
-            .map(|(x, y)| x.total_cmp(y))
-            .find(|o| o.is_ne())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+
+    let mut keys: Vec<Vec<f64>> = patterns
+        .iter()
+        .map(|p| p.to_vec())
+        .chain(nan_keys)
+        .collect();
+    keys.sort_by(|a, b| total_cmp_keys(a, b));
     keys.dedup();
-    Ok(keys)
+    if keys.len() > MAX_GROUPS {
+        return Err(too_many_groups());
+    }
+
+    // A key matches a row when their values compare `==`, as the
+    // sub-plans' filters test it. A tag names one key, so when two keys
+    // compare `==` (zeros the sort left apart) rows stay untagged.
+    let mut classes: Vec<Vec<f64>> = keys
+        .iter()
+        .filter(|key| !key.iter().any(|v| v.is_nan()))
+        .map(|key| {
+            key.iter()
+                .map(|&v| if v == 0.0 { 0.0 } else { v })
+                .collect()
+        })
+        .collect();
+    classes.sort_by(|a, b| total_cmp_keys(a, b));
+    if classes.windows(2).any(|w| w[0] == w[1]) {
+        return Ok(Groups { keys, tags: None });
+    }
+
+    // Each pattern's rank: its own key's, or, when the dedup merged it,
+    // that of the pattern before it.
+    let mut ranks: Vec<u16> = Vec::with_capacity(patterns.len());
+    for (i, pattern) in patterns.iter().enumerate() {
+        let rank = match keys.binary_search_by(|key| total_cmp_keys(key, pattern)) {
+            Ok(rank) => rank as u16,
+            Err(_) => ranks[i - 1],
+        };
+        ranks.push(rank);
+    }
+
+    // Pass 2: each row's rank.
+    let tags = RowTags::classify(store, |row| {
+        if !passes(row) {
+            return NO_GROUP;
+        }
+        find(&patterns, row).map_or(NO_GROUP, |i| ranks[i])
+    });
+    Ok(Groups {
+        keys,
+        tags: Some(tags),
+    })
+}
+
+/// Lexicographic `total_cmp` order on key tuples.
+fn total_cmp_keys(a: &[f64], b: &[f64]) -> Ordering {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| x.total_cmp(y))
+        .find(|o| o.is_ne())
+        .unwrap_or(Ordering::Equal)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gupt_core::GuptRuntimeBuilder;
+    use gupt_core::{BlockView, GuptRuntimeBuilder};
     use gupt_dp::OutputRange;
 
     fn eps(v: f64) -> Epsilon {
@@ -613,6 +728,8 @@ mod tests {
             assert!(gate >= DEFAULT_MIN_COUNT);
         }
         assert_eq!(ans.suppressed_groups, 0);
+        // The reported ε is the one debit, not a float sum of shares.
+        assert_eq!(ans.epsilon_spent, 4.0);
     }
 
     #[test]
@@ -811,5 +928,220 @@ mod tests {
             .sql("SELECT COUNT(*) FROM t WITH EPSILON 0", &options())
             .unwrap_err();
         assert!(matches!(err, SqlError::Plan { .. }));
+    }
+
+    /// The sort + dedup that enumerated group keys before rows were
+    /// classified: the oracle for [`classify_groups`]' key list.
+    fn oracle_keys(store: &RowStore, stmt: &Statement) -> Vec<Vec<f64>> {
+        let mut keys: Vec<Vec<f64>> = Vec::new();
+        for row in store.iter_rows() {
+            if let Some(pred) = &stmt.predicate {
+                if !pred.matches(row) {
+                    continue;
+                }
+            }
+            keys.push(stmt.group_by.iter().map(|&c| row[c]).collect());
+        }
+        keys.sort_by(|a, b| {
+            a.iter()
+                .zip(b.iter())
+                .map(|(x, y)| x.total_cmp(y))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        keys.dedup();
+        keys
+    }
+
+    fn key_bits(keys: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        keys.iter()
+            .map(|k| k.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    /// Classifies `rows` for `sql` and checks it against the oracle: the
+    /// same key list bit for bit and, when rows are tagged, each key's
+    /// rows exactly the rows its filter matches. Returns the keys and
+    /// whether rows were tagged.
+    fn classify_checked(rows: &[Vec<f64>], sql: &str) -> Result<(Vec<Vec<f64>>, bool), SqlError> {
+        let store = Arc::new(RowStore::from_rows(rows));
+        let stmt = parse(sql).unwrap();
+        let Groups { keys, tags } = classify_groups(&store, &stmt)?;
+        assert_eq!(
+            key_bits(&keys),
+            key_bits(&oracle_keys(&store, &stmt)),
+            "{sql}"
+        );
+        let filter = |key: &[f64]| RowFilter {
+            predicate: stmt.predicate.clone(),
+            group_key: stmt
+                .group_by
+                .iter()
+                .copied()
+                .zip(key.iter().copied())
+                .collect(),
+        };
+        match &tags {
+            Some(tags) => {
+                let full = BlockView::full(Arc::clone(&store));
+                let bits = |row: &[f64]| -> Vec<u64> { row.iter().map(|v| v.to_bits()).collect() };
+                for (g, key) in keys.iter().enumerate() {
+                    let tagged: Vec<Vec<u64>> = full
+                        .rows_tagged(tags, g as u16)
+                        .unwrap()
+                        .map(bits)
+                        .collect();
+                    let filter = filter(key);
+                    let matched: Vec<Vec<u64>> = store
+                        .iter_rows()
+                        .filter(|r| filter.matches(r))
+                        .map(bits)
+                        .collect();
+                    assert_eq!(tagged, matched, "{sql}: key {key:?}");
+                }
+            }
+            None => {
+                // Untagged only when some row matches two keys.
+                assert!(store
+                    .iter_rows()
+                    .any(|row| { keys.iter().filter(|key| filter(key).matches(row)).count() > 1 }));
+            }
+        }
+        Ok((keys, tags.is_some()))
+    }
+
+    fn seeded_rows(n: usize, seed: u64, row: impl Fn(u64) -> Vec<f64>) -> Vec<Vec<f64>> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = mix(state);
+                row(state)
+            })
+            .collect()
+    }
+
+    fn mix(mut z: u64) -> u64 {
+        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A value from a small pool holding both zeros, a NaN and a few
+    /// integers.
+    fn pooled(h: u64) -> f64 {
+        [0.0, -0.0, 1.0, -1.0, 2.0, f64::NAN, 7.5][(h % 7) as usize]
+    }
+
+    #[test]
+    fn classification_matches_the_sort_dedup_oracle_with_signed_zeros() {
+        for seed in 0..12 {
+            let rows = seeded_rows(400, seed, |h| {
+                vec![pooled(h), pooled(h >> 8), (h >> 16) as f64 % 50.0]
+            });
+            for sql in [
+                "SELECT COUNT(*) FROM t GROUP BY c0",
+                "SELECT COUNT(*) FROM t GROUP BY c1, c0",
+                "SELECT COUNT(*) FROM t WHERE c2 < 25 GROUP BY c0, c1",
+                "SELECT COUNT(*) FROM t WHERE c0 >= 0 GROUP BY c0",
+            ] {
+                classify_checked(&rows, sql).unwrap();
+            }
+        }
+        // One column: the two zeros merge into the key the sort kept
+        // first (-0.0), and every zero row is tagged with it.
+        let rows = vec![vec![0.0], vec![-0.0], vec![3.0], vec![0.0]];
+        let (keys, tagged) = classify_checked(&rows, "SELECT COUNT(*) FROM t GROUP BY c0").unwrap();
+        assert_eq!(key_bits(&keys), key_bits(&[vec![-0.0], vec![3.0]]));
+        assert!(tagged);
+        // Two columns: (-0.0, 1) sorts between (-0.0, 0) and (0.0, 0),
+        // so the dedup keeps both zero keys and rows stay untagged.
+        let rows = vec![vec![-0.0, 0.0], vec![-0.0, 1.0], vec![0.0, 0.0]];
+        let (keys, tagged) =
+            classify_checked(&rows, "SELECT COUNT(*) FROM t GROUP BY c0, c1").unwrap();
+        assert_eq!(keys.len(), 3);
+        assert!(!tagged);
+    }
+
+    #[test]
+    fn classification_of_a_table_the_where_filters_out_is_empty() {
+        let rows = seeded_rows(300, 5, |h| vec![(h % 9) as f64, pooled(h >> 4)]);
+        let (keys, _) =
+            classify_checked(&rows, "SELECT COUNT(*) FROM t WHERE c0 > 100 GROUP BY c1").unwrap();
+        assert!(keys.is_empty());
+    }
+
+    #[test]
+    fn classification_stops_past_max_groups_with_the_generic_error() {
+        let keyed = |distinct: usize| -> Vec<Vec<f64>> {
+            (0..3 * distinct)
+                .map(|i| vec![(i % distinct) as f64])
+                .collect()
+        };
+        let sql = "SELECT COUNT(*) FROM t GROUP BY c0";
+        let (keys, _) = classify_checked(&keyed(MAX_GROUPS), sql).unwrap();
+        assert_eq!(keys.len(), MAX_GROUPS);
+        // -0.0 beside 0.0 is one more bit pattern but not one more key,
+        // whichever of the two is seen first.
+        for at in [0, 3 * MAX_GROUPS] {
+            let mut rows = keyed(MAX_GROUPS);
+            rows.insert(at, vec![-0.0]);
+            let (keys, _) = classify_checked(&rows, sql).unwrap();
+            assert_eq!(keys.len(), MAX_GROUPS);
+        }
+        for rows in [keyed(MAX_GROUPS + 1), {
+            let mut rows = keyed(MAX_GROUPS);
+            rows.push(vec![f64::NAN]);
+            rows
+        }] {
+            let store = Arc::new(RowStore::from_rows(&rows));
+            let stmt = parse(sql).unwrap();
+            assert_eq!(oracle_keys(&store, &stmt).len(), MAX_GROUPS + 1);
+            let err = classify_groups(&store, &stmt).err().expect("over the cap");
+            assert_eq!(err.to_string(), too_many_groups().to_string());
+        }
+    }
+
+    #[test]
+    fn sub_plans_tagged_before_an_append_fall_back_to_their_filter() {
+        // Tags classified over the registered store; an append then gives
+        // the batch a new store, so every member's blocks miss the tags
+        // and must evaluate the filter — releasing what a handwritten
+        // batch over the grown table releases.
+        let stmt = parse("SELECT AVG(c0) FROM t WHERE c0 < 40 GROUP BY c1 WITH EPSILON 2").unwrap();
+        let answer = |tagged: bool| -> Vec<u64> {
+            let rt = runtime(23);
+            let store = Arc::clone(rt.dataset_handle("t").unwrap().snapshot().store());
+            let Groups { keys, tags } = classify_groups(&store, &stmt).unwrap();
+            let tags = tags.expect("one key per row");
+            rt.append_rows("t", &[vec![7.0, 2.0, 0.0], vec![9.0, 0.0, 0.0]])
+                .unwrap();
+            let ctx = PlanContext {
+                dataset_size: rt.dataset_len("t").unwrap(),
+                dataset_dimension: 3,
+                column_ranges: options().column_ranges,
+            };
+            let specs = keys
+                .iter()
+                .enumerate()
+                .map(|(g, key)| {
+                    let filter = RowFilter {
+                        predicate: stmt.predicate.clone(),
+                        group_key: vec![(1, key[0])],
+                    };
+                    let group = tagged.then(|| (tags.clone(), g as u16));
+                    grouped_aggregate_spec(&stmt.aggregates[0], &filter, &ctx, None, group)
+                        .unwrap()
+                        .spec
+                })
+                .collect();
+            let batch = rt.run_batch("t", specs, eps(2.0)).unwrap();
+            batch
+                .answers
+                .iter()
+                .map(|a| a.values[0].to_bits())
+                .collect()
+        };
+        assert_eq!(answer(true), answer(false));
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! Each selected aggregate becomes one [`QuerySpec`] whose untrusted
 //! program is a **view-native filter program**: a closure over the
-//! block's [`BlockView`] that evaluates the (WHERE ∧ group-key)
-//! predicate per row and emits a sample-and-aggregate *block estimator*
-//! of the requested statistic. The runtime then clamps, averages and
+//! block's [`BlockView`] that selects the rows passing the (WHERE ∧
+//! group-key) predicate — by evaluating it, or, for a grouped statement
+//! whose rows were classified once, by their [`RowTags`] tag — and
+//! emits a sample-and-aggregate *block estimator* of the requested
+//! statistic. The runtime then clamps, averages and
 //! noises the block outputs exactly as it does for handwritten specs —
 //! SQL adds no second release path, only a compiler in front of the
 //! existing one.
@@ -35,7 +37,7 @@
 
 use crate::ast::{AggFunc, Aggregate, Predicate, Statement};
 use crate::error::SqlError;
-use gupt_core::{BlockView, QuerySpec, RangeEstimation};
+use gupt_core::{BlockView, QuerySpec, RangeEstimation, RowTags};
 use gupt_dp::OutputRange;
 
 /// Public facts about the target dataset the planner compiles against.
@@ -184,6 +186,23 @@ pub fn aggregate_spec(
     ctx: &PlanContext,
     block_size: Option<usize>,
 ) -> Result<AggregatePlan, SqlError> {
+    grouped_aggregate_spec(agg, filter, ctx, block_size, None)
+}
+
+/// Like [`aggregate_spec`], for one group of a grouped statement whose
+/// rows were classified once: `group` holds the statement's row tags
+/// and this group's tag, which must select exactly the rows `filter`
+/// matches, and the block estimator selects its rows by tag instead of
+/// evaluating `filter` on every row. When a block's view is over a
+/// different store than the tags (an append landed after
+/// classification), the estimator evaluates `filter` as usual.
+pub(crate) fn grouped_aggregate_spec(
+    agg: &Aggregate,
+    filter: &RowFilter,
+    ctx: &PlanContext,
+    block_size: Option<usize>,
+    group: Option<(RowTags, u16)>,
+) -> Result<AggregatePlan, SqlError> {
     let range = output_range(agg, ctx)?;
     let n = ctx.dataset_size as f64;
     let midpoint = range.midpoint();
@@ -197,45 +216,21 @@ pub fn aggregate_spec(
         if m == 0 {
             return vec![midpoint];
         }
-        let mut matched: Vec<f64> = Vec::new();
-        for row in block.iter() {
-            if filter.matches(row) {
-                matched.push(row.get(column).copied().unwrap_or(0.0));
-            }
-        }
-        let k = matched.len();
-        let value = match func {
-            AggFunc::Count => k as f64 / m as f64 * n,
-            AggFunc::Sum => matched.iter().sum::<f64>() / m as f64 * n,
-            AggFunc::Avg => {
-                if k == 0 {
-                    midpoint
-                } else {
-                    matched.iter().sum::<f64>() / k as f64
-                }
-            }
-            AggFunc::Median => {
-                if k == 0 {
-                    midpoint
-                } else {
-                    matched.sort_by(f64::total_cmp);
-                    if k % 2 == 1 {
-                        matched[k / 2]
-                    } else {
-                        (matched[k / 2 - 1] + matched[k / 2]) / 2.0
-                    }
-                }
-            }
-            AggFunc::Variance => {
-                if k == 0 {
-                    midpoint
-                } else {
-                    let mean = matched.iter().sum::<f64>() / k as f64;
-                    matched.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / k as f64
-                }
-            }
+        let value = |row: &[f64]| row.get(column).copied().unwrap_or(0.0);
+        let tagged = group
+            .as_ref()
+            .and_then(|(tags, tag)| block.rows_tagged(tags, *tag));
+        let estimate = match tagged {
+            Some(rows) => estimate(func, rows.map(value), m, n, midpoint),
+            None => estimate(
+                func,
+                block.iter().filter(|row| filter.matches(row)).map(value),
+                m,
+                n,
+                midpoint,
+            ),
         };
-        vec![value]
+        vec![estimate]
     };
 
     let identity = format!(
@@ -254,6 +249,53 @@ pub fn aggregate_spec(
     }
     let spec = builder.build()?;
     Ok(AggregatePlan { spec, range })
+}
+
+/// One block's statistic over `values`, the aggregated column of the
+/// block's matching rows in block order; `m` is the block's row count.
+///
+/// COUNT, SUM and AVG fold the values in one pass, from the neutral
+/// element and in the order `Iterator::sum` uses, so they equal summing
+/// a collected `Vec` bit for bit. MEDIAN and VARIANCE need the values
+/// twice and collect them.
+fn estimate(
+    func: AggFunc,
+    values: impl Iterator<Item = f64>,
+    m: usize,
+    n: f64,
+    midpoint: f64,
+) -> f64 {
+    let scale = |x: f64| x / m as f64 * n;
+    match func {
+        AggFunc::Count => scale(values.count() as f64),
+        AggFunc::Sum => scale(values.sum::<f64>()),
+        AggFunc::Avg => {
+            let zero: f64 = std::iter::empty::<f64>().sum();
+            match values.fold((0usize, zero), |(k, sum), v| (k + 1, sum + v)) {
+                (0, _) => midpoint,
+                (k, sum) => sum / k as f64,
+            }
+        }
+        AggFunc::Median | AggFunc::Variance => {
+            let mut matched = Vec::with_capacity(m);
+            matched.extend(values);
+            let k = matched.len();
+            if k == 0 {
+                return midpoint;
+            }
+            if func == AggFunc::Median {
+                matched.sort_by(f64::total_cmp);
+                if k % 2 == 1 {
+                    matched[k / 2]
+                } else {
+                    (matched[k / 2 - 1] + matched[k / 2]) / 2.0
+                }
+            } else {
+                let mean = matched.iter().sum::<f64>() / k as f64;
+                matched.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / k as f64
+            }
+        }
+    }
 }
 
 #[cfg(test)]

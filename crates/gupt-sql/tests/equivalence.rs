@@ -256,8 +256,7 @@ fn group_by_matches_handwritten_batch() {
             "group {g} diverged from the handwritten batch"
         );
     }
-    let hand_spent: f64 = batch.allocations.iter().sum();
-    assert_eq!(answer.epsilon_spent, hand_spent);
+    assert_eq!(answer.epsilon_spent, batch.charged);
 }
 
 #[test]
@@ -321,8 +320,7 @@ fn gated_group_by_matches_handwritten_batch_with_hidden_counts() {
             "group {g} gate count diverged from the handwritten batch"
         );
     }
-    let hand_spent: f64 = batch.allocations.iter().sum();
-    assert_eq!(answer.epsilon_spent, hand_spent);
+    assert_eq!(answer.epsilon_spent, batch.charged);
 }
 
 #[test]

@@ -86,6 +86,7 @@ pub trait SampleRange<T> {
 macro_rules! sample_range_uint {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for core::ops::Range<$t> {
+            #[inline]
             fn sample_from<R: Rng + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "cannot sample empty range");
                 let span = (self.end - self.start) as u64;
@@ -93,6 +94,7 @@ macro_rules! sample_range_uint {
             }
         }
         impl SampleRange<$t> for core::ops::RangeInclusive<$t> {
+            #[inline]
             fn sample_from<R: Rng + ?Sized>(self, rng: &mut R) -> $t {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "cannot sample empty range");
@@ -158,6 +160,7 @@ impl SampleRange<f64> for core::ops::RangeInclusive<f64> {
 /// the same test as `v < u64::MAX - u64::MAX % bound`, so it accepts and
 /// rejects exactly the same words, but it costs one division per draw
 /// instead of two.
+#[inline]
 fn uniform_u64_below<R: Rng + ?Sized>(rng: &mut R, bound: u64) -> u64 {
     debug_assert!(bound > 0);
     if bound.is_power_of_two() {
@@ -181,6 +184,7 @@ pub trait RngExt: Rng {
     }
 
     /// Draws uniformly from `range`. Panics on an empty range.
+    #[inline]
     fn random_range<T, Rg: SampleRange<T>>(&mut self, range: Rg) -> T {
         range.sample_from(self)
     }
@@ -218,6 +222,7 @@ pub mod rngs {
     }
 
     impl StdRng {
+        #[inline]
         fn next(&mut self) -> u64 {
             let result = (self.s[0].wrapping_add(self.s[3]))
                 .rotate_left(23)
@@ -234,6 +239,7 @@ pub mod rngs {
     }
 
     impl Rng for StdRng {
+        #[inline]
         fn next_u64(&mut self) -> u64 {
             self.next()
         }

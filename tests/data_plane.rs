@@ -16,7 +16,7 @@
 
 use gupt::core::{partition, BlockPlan, GuptRuntimeBuilder, QuerySpec, RangeEstimation};
 use gupt::dp::{Epsilon, OutputRange};
-use gupt::sandbox::{BlockView, RowStore};
+use gupt::sandbox::{BlockView, RowStore, RowTags};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
@@ -86,7 +86,7 @@ fn views_share_one_store() {
     let views = plan.views(&store);
     assert_eq!(views.len(), plan.blocks().len());
     for v in &views {
-        assert!(Arc::ptr_eq(v.store(), &store));
+        assert!(v.shares_store(&store));
     }
     // Index accounting matches the plan exactly.
     let total: usize = views.iter().map(|v| v.index_bytes()).sum();
@@ -132,6 +132,34 @@ fn row_iterator_conforms_to_indexed_access() {
     for view in &views {
         assert_iter_conforms(view);
     }
+}
+
+/// A view's tagged rows are exactly its rows whose tag matches, in
+/// block order, for every tag — and tags classified over another store
+/// select nothing.
+#[test]
+fn tagged_rows_match_a_filtered_iteration() {
+    let store = Arc::new(RowStore::from_rows(&rows(50)));
+    let tag = |row: &[f64]| (row[0] as u16 * 7) % 4;
+    let tags = RowTags::classify(&store, tag);
+    let plan = plan_for(50, 7, 2, 3);
+    let mut views = vec![
+        BlockView::full(Arc::clone(&store)),
+        BlockView::dense(Arc::clone(&store), 13, 21),
+        BlockView::dense(Arc::clone(&store), 50, 0),
+        BlockView::sparse(Arc::clone(&store), Arc::from(vec![49, 0, 0, 7])),
+        BlockView::sparse(Arc::clone(&store), Arc::from(Vec::new())),
+    ];
+    views.extend(plan.views(&store));
+    for view in &views {
+        for t in 0..5 {
+            let tagged: Vec<&[f64]> = view.rows_tagged(&tags, t).expect("same store").collect();
+            let filtered: Vec<&[f64]> = view.iter().filter(|r| tag(r) == t).collect();
+            assert_eq!(tagged, filtered, "tag {t}");
+        }
+    }
+    let copy = Arc::new(RowStore::from_rows(&rows(50)));
+    assert!(BlockView::full(copy).rows_tagged(&tags, 0).is_none());
 }
 
 proptest! {

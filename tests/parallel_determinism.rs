@@ -313,3 +313,134 @@ fn grouped_dataset_is_width_invariant() {
         }
     }
 }
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A seeded table for the DP-SQL statements: `c0` a value in
+/// `[0, 100)`, `c1` one of 10 keys (key 0 stored as `0.0` on some rows
+/// and `-0.0` on others), `c2` one of 100 keys, `c3` one of 3.
+fn sql_rows(n: usize, seed: u64) -> Vec<Vec<f64>> {
+    let mut state = seed;
+    (0..n)
+        .map(|_| {
+            let h = splitmix(&mut state);
+            let c1 = match (h >> 20) % 10 {
+                0 if (h >> 40) & 1 == 1 => -0.0,
+                k => k as f64,
+            };
+            vec![
+                (h % 1000) as f64 / 10.0,
+                c1,
+                ((h >> 24) % 100) as f64,
+                ((h >> 32) % 3) as f64,
+            ]
+        })
+        .collect()
+}
+
+/// The statements the SQL suite pins, with whether they run trusted
+/// (gate disarmed): 10 keys, 100 keys, a `WHERE`, a trusted statement,
+/// a two-column key whose `±0.0` keys sort apart, and a
+/// multi-aggregate ungrouped statement.
+const SQL_STATEMENTS: [(&str, bool); 6] = [
+    ("SELECT AVG(c0) FROM t GROUP BY c1 WITH EPSILON 1", false),
+    (
+        "SELECT COUNT(*), AVG(c0) FROM t GROUP BY c2 WITH EPSILON 1",
+        false,
+    ),
+    (
+        "SELECT SUM(c0), MEDIAN(c0) FROM t WHERE c0 > 20 AND c3 < 2 GROUP BY c1 WITH EPSILON 2",
+        false,
+    ),
+    (
+        "SELECT AVG(c0), VARIANCE(c0) FROM t GROUP BY c2 WITH EPSILON 1",
+        true,
+    ),
+    (
+        "SELECT COUNT(*), SUM(c0) FROM t GROUP BY c1, c3 WITH EPSILON 1",
+        false,
+    ),
+    (
+        "SELECT COUNT(*), AVG(c0), MEDIAN(c0), VARIANCE(c0) FROM t WHERE c2 < 50 WITH EPSILON 1",
+        false,
+    ),
+];
+
+/// FNV-1a over an answer's released rows: keys, values, gate counts
+/// and the suppressed-group count (not ε, which is reported, not drawn).
+fn sql_digest(answer: &gupt_sql::SqlAnswer) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut word = |w: u64| {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for row in &answer.rows {
+        row.group.iter().for_each(|v| word(v.to_bits()));
+        row.values.iter().for_each(|v| word(v.to_bits()));
+        word(row.noisy_count.map_or(u64::MAX, f64::to_bits));
+    }
+    word(answer.suppressed_groups);
+    h
+}
+
+/// Runs every statement of [`SQL_STATEMENTS`] in order on one runtime
+/// of pool width `width` and returns one digest per statement.
+fn sql_digests(width: usize) -> Vec<u64> {
+    use gupt_sql::{SqlOptions, SqlRuntime};
+    let runtime = GuptRuntimeBuilder::new()
+        .register_dataset("t", sql_rows(2000, 0x5A17), eps(1e6))
+        .unwrap()
+        .seed(1515)
+        .execution(policy(width))
+        .build();
+    let ranges: Vec<OutputRange> = [(0.0, 100.0), (0.0, 9.0), (0.0, 99.0), (0.0, 2.0)]
+        .iter()
+        .map(|&(lo, hi)| OutputRange::new(lo, hi).unwrap())
+        .collect();
+    SQL_STATEMENTS
+        .iter()
+        .map(|&(statement, trusted)| {
+            let base = if trusted {
+                SqlOptions::trusted()
+            } else {
+                SqlOptions::default()
+            };
+            let options = SqlOptions {
+                column_ranges: ranges.clone(),
+                ..base
+            };
+            let answer = runtime.sql(statement, &options).expect("statement runs");
+            sql_digest(&answer)
+        })
+        .collect()
+}
+
+/// FNV digests of [`SQL_STATEMENTS`]' answers, captured before grouped
+/// statements classified their rows once and ran in one dispatch.
+const GOLDEN_SQL: [u64; 6] = [
+    0x6781_553d_e5f8_025b,
+    0xd524_4b61_c66d_5984,
+    0x1b65_bb7d_4425_8067,
+    0x24b9_2760_ec94_d0a1,
+    0x001b_34fc_6009_4137,
+    0x3d3e_cee6_4849_65df,
+];
+
+/// Grouped statements (10 and 100 keys, `WHERE`, gated and trusted, two
+/// key columns with `±0.0` keys) and a multi-aggregate ungrouped one run
+/// every sub-query through one batch dispatch: their released rows must
+/// be bit-identical at every pool width and equal the pinned digests.
+#[test]
+fn sql_statements_are_width_invariant_and_pinned() {
+    for width in [1, 2, 8] {
+        assert_eq!(sql_digests(width), GOLDEN_SQL, "width {width}");
+    }
+}
