@@ -170,9 +170,12 @@ fn main() {
         .expect("registers")
         .seed(seed)
         .build();
+    // The suppressed-group count is an operator figure: it comes from
+    // the statement's telemetry, never from the analyst's answer.
     let group_options = SqlOptions {
         column_ranges: vec![range],
         min_count: 300.0,
+        collect_telemetry: true,
         ..SqlOptions::default()
     };
     let gated = group_runtime
@@ -181,8 +184,14 @@ fn main() {
             &group_options,
         )
         .expect("grouped statement runs");
+    let suppressed_groups = gated
+        .telemetry
+        .as_ref()
+        .expect("telemetry requested")
+        .sql
+        .suppressed_groups;
     assert_eq!(
-        gated.rows.len() as u64 + gated.suppressed_groups,
+        gated.rows.len() as u64 + suppressed_groups,
         5,
         "4 dense groups + 1 singleton must be accounted for"
     );
@@ -201,7 +210,7 @@ fn main() {
     println!(
         "min-frequency     = {} released, {} suppressed (threshold 300)",
         gated.rows.len(),
-        gated.suppressed_groups
+        suppressed_groups
     );
 
     // Utility comparison at equal ε: the same statement on GUPT's
@@ -258,7 +267,7 @@ fn main() {
         .metric("sql_s", sql_s)
         .metric("overhead_pct", overhead_pct)
         .metric("bit_identical", identical as f64)
-        .metric("suppressed_groups", gated.suppressed_groups as f64)
+        .metric("suppressed_groups", suppressed_groups as f64)
         .metric("gupt_abs_err", gupt_err)
         .metric("pinq_abs_err", pinq_err)
         .metric("airavat_abs_err", airavat_err)

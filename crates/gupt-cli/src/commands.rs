@@ -541,11 +541,13 @@ fn query_sql(args: &Args) -> Result<String, CliError> {
             .collect();
         let _ = writeln!(out, "row         : {}", cells.join(" | "));
     }
-    let _ = writeln!(
-        out,
-        "suppressed  : {} group(s) below the min-count gate ({})",
-        answer.suppressed_groups, options.min_count
-    );
+    if !stmt.group_by.is_empty() {
+        let _ = writeln!(
+            out,
+            "min-count   : {} (groups whose noisy count falls below it are withheld)",
+            options.min_count
+        );
+    }
     match ledger_state {
         Some((path, remaining, queries)) => {
             let _ = writeln!(
@@ -1743,10 +1745,9 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("columns     : c1 | COUNT(*)"), "{out}");
-        assert!(
-            out.contains("suppressed  : 1 group(s) below the min-count gate (300)"),
-            "{out}"
-        );
+        assert!(out.contains("min-count   : 300 (groups"), "{out}");
+        // How many groups were withheld is not part of the answer.
+        assert!(!out.contains("suppressed"), "{out}");
         let rows: Vec<&str> = out.lines().filter(|l| l.starts_with("row")).collect();
         assert_eq!(rows.len(), 1, "{out}");
         assert!(rows[0].contains(": 0 |"), "{out}");

@@ -225,6 +225,16 @@ impl QueryFingerprint {
             Aggregator::LaplaceMean => 0,
             Aggregator::DpMedian => 1,
         });
+        if let Some(partition) = spec.partition() {
+            h.write_u64(partition.columns().len() as u64);
+            for &c in partition.columns() {
+                h.write_u64(c as u64);
+            }
+            h.write_u64(partition.len() as u64);
+            for key in partition.keys() {
+                key.iter().for_each(|&v| h.write_f64(v));
+            }
+        }
         Some(QueryFingerprint(h.finish()))
     }
 }

@@ -45,7 +45,8 @@ pub struct QueryPlan {
     /// The Theorem 1 split.
     pub split: BudgetSplit,
     /// Predicted Laplace noise standard deviation per output dimension
-    /// (`√2·γ·sᵈ/(ℓ·ε_dim)`), using planning-time range widths.
+    /// (`√2·γ·sᵈ/(ℓ·ε_dim)`), using planning-time range widths. For a
+    /// partitioned query: per program dimension, the same for every key.
     pub noise_std_per_dim: Vec<f64>,
 }
 
@@ -145,7 +146,7 @@ impl GuptRuntime {
         tel.record_stage(Stage::BudgetResolution, stage_start.elapsed());
 
         let fraction = mode.aggregation_budget_fraction();
-        let aggregation_per_dim = eps_total.value() * fraction / p as f64;
+        let aggregation_per_dim = eps_total.value() * fraction / spec.budget_dimensions() as f64;
         let (range_estimation_per_dim, range_estimation_dims) = match mode {
             RangeEstimation::Tight(_) => (0.0, 0),
             RangeEstimation::Loose(_) => (eps_total.value() / 2.0 / p as f64, p),

@@ -93,13 +93,13 @@ pub use dataset_manager::{
 };
 pub use error::GuptError;
 pub use explain::{BudgetSplit, QueryPlan};
-pub use gupt_sandbox::view::{BlockRows, BlockView, RowStore, RowTags};
-pub use gupt_sandbox::ExecutionPolicy;
+pub use gupt_sandbox::view::{BlockRows, BlockView, RowStore};
+pub use gupt_sandbox::{ExecutionPolicy, KeyPartition};
 pub use output_range::{RangeEstimation, RangeTranslator};
 pub use principal::{validate_principal_name, ExhaustedPolicy, PrincipalState, PrincipalTable};
 pub use query::{BlockSizeSpec, BudgetSpec, QuerySpec, QuerySpecBuilder};
 pub use runtime::{DatasetHandle, GuptRuntime, GuptRuntimeBuilder, PrivateAnswer};
-pub use saf::{clamped_block_means, sample_and_aggregate};
+pub use saf::{clamped_block_means, partitioned_aggregate, sample_and_aggregate};
 pub use service::{QueryService, ServiceConfig, ServiceStats};
 pub use storage::{
     CacheRecord, Durability, FailingStore, FailureMode, FsyncPolicy, LedgerStore, PrincipalBooks,

@@ -13,7 +13,7 @@ use crate::error::GuptError;
 use crate::output_range::RangeEstimation;
 use gupt_dp::Epsilon;
 use gupt_sandbox::view::BlockView;
-use gupt_sandbox::{BlockProgram, ClosureProgram, ExecutionPolicy, RowSliceProgram};
+use gupt_sandbox::{BlockProgram, ClosureProgram, ExecutionPolicy, KeyPartition, RowSliceProgram};
 use std::fmt;
 use std::sync::Arc;
 
@@ -49,6 +49,7 @@ pub struct QuerySpec {
     pub(crate) aggregator: Aggregator,
     pub(crate) telemetry: bool,
     pub(crate) execution: Option<ExecutionPolicy>,
+    pub(crate) partition: Option<Arc<KeyPartition>>,
 }
 
 impl fmt::Debug for QuerySpec {
@@ -62,6 +63,7 @@ impl fmt::Debug for QuerySpec {
             .field("gamma", &self.gamma)
             .field("aggregator", &self.aggregator)
             .field("execution", &self.execution)
+            .field("partition", &self.partition)
             .finish()
     }
 }
@@ -149,6 +151,7 @@ impl QuerySpec {
             aggregator: Aggregator::default(),
             telemetry: false,
             execution: None,
+            partition: None,
         }
     }
 
@@ -262,6 +265,36 @@ impl QuerySpec {
     pub fn telemetry_enabled(&self) -> bool {
         self.telemetry
     }
+
+    /// The key partition, for a partitioned query (see
+    /// [`QuerySpecBuilder::partitioned`]).
+    pub fn partition(&self) -> Option<&KeyPartition> {
+        self.partition.as_deref()
+    }
+
+    /// The number of dimensions the aggregation budget is split over
+    /// (Theorem 1) — the one rule that both
+    /// [`crate::runtime::GuptRuntime::run`] and
+    /// [`crate::runtime::GuptRuntime::explain`] apply.
+    ///
+    /// An unpartitioned query splits over its `p` output dimensions. A
+    /// partitioned query releases `p` values for each of its `G` keys
+    /// and splits over `2p`, whatever `G` is. Its neighbouring datasets
+    /// differ by the *substitution* of one row, since the dataset size
+    /// `n` is public and fixes the block plan's shape. A substituted row
+    /// sits in `γ` blocks and, in each, changes only the sub-views of
+    /// its old key and its new key, so it moves at most `2p` of the
+    /// `G·p` released values, each by at most the per-dimension
+    /// sensitivity `γ·s/ℓ`. (Under add/remove the split would not
+    /// shrink to `p`: an added row changes the length of its block,
+    /// which every key's estimator of that block may scale by.)
+    pub fn budget_dimensions(&self) -> usize {
+        let p = self.output_dimension();
+        match self.partition {
+            Some(_) => 2 * p,
+            None => p,
+        }
+    }
 }
 
 /// A deferred zero-copy program body awaiting its identity.
@@ -295,6 +328,7 @@ pub struct QuerySpecBuilder {
     aggregator: Aggregator,
     telemetry: bool,
     execution: Option<ExecutionPolicy>,
+    partition: Option<KeyPartition>,
 }
 
 impl fmt::Debug for QuerySpecBuilder {
@@ -335,6 +369,7 @@ impl QuerySpecBuilder {
             aggregator: Aggregator::default(),
             telemetry: false,
             execution: None,
+            partition: None,
         }
     }
 
@@ -447,6 +482,29 @@ impl QuerySpecBuilder {
         self
     }
 
+    /// Partitions the query by key (one sample-and-aggregate run that
+    /// answers for every key of `partition`, e.g. a `GROUP BY`).
+    ///
+    /// The runtime draws one block plan over all rows and, in each
+    /// block's chamber, routes the rows to their keys and runs the
+    /// program once per key present in the block, on a sub-view of that
+    /// key's rows ([`BlockView::block_len`] is the whole block's
+    /// length), and once on an empty sub-view for the absent keys. The
+    /// answer holds the program's `p` outputs for each key in turn,
+    /// `G·p` values in key order, and the budget splits over `2p`
+    /// dimensions ([`QuerySpec::budget_dimensions`]).
+    ///
+    /// A partitioned query needs an explicit ε, tight ranges, a default
+    /// or fixed block size and the Laplace-mean aggregator, and is
+    /// refused on a dataset with a group column (whose user-level
+    /// neighbours can touch many keys); each refusal comes before any
+    /// charge.
+    #[must_use]
+    pub fn partitioned(mut self, partition: KeyPartition) -> Self {
+        self.partition = Some(partition);
+        self
+    }
+
     /// Compiles the spec. Fails with [`GuptError::InvalidSpec`] when no
     /// program source was chosen.
     pub fn build(self) -> Result<QuerySpec, GuptError> {
@@ -477,6 +535,7 @@ impl QuerySpecBuilder {
             aggregator: self.aggregator,
             telemetry: self.telemetry,
             execution: self.execution,
+            partition: self.partition.map(Arc::new),
         })
     }
 }

@@ -37,7 +37,7 @@
 //! thread interleaving. See [`crate::service::QueryService`] for the
 //! admission-controlled front door.
 
-use crate::aggregator::aggregate;
+use crate::aggregator::{aggregate, Aggregator};
 use crate::blocks::{
     block_count, default_block_size, partition_grouped, partition_range_with, BlockPlan,
 };
@@ -51,6 +51,7 @@ use crate::dataset_manager::{
 use crate::error::GuptError;
 use crate::output_range::{resolve_helper, resolve_loose, resolve_tight, RangeEstimation};
 use crate::query::{BlockSizeSpec, BudgetSpec, QuerySpec};
+use crate::saf::partitioned_aggregate;
 use crate::storage::{CacheRecord, RecoveredLedger, StorageStats};
 use crate::stream::{
     window_epoch, ContinuousQuery, Subscription, WindowKey, WindowResult, WindowSpec,
@@ -61,7 +62,9 @@ use crate::telemetry::{
 };
 use gupt_dp::{Epsilon, OutputRange};
 use gupt_sandbox::view::{BlockView, RowStore};
-use gupt_sandbox::{BlockSink, ChamberPolicy, ExecutionPolicy, PlannedRun, PoolTrace};
+use gupt_sandbox::{
+    BlockSink, ChamberPolicy, ExecutionPolicy, KeyPartition, PlannedRun, PoolTrace,
+};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -766,6 +769,9 @@ impl GuptRuntime {
             .range_estimation
             .clone()
             .ok_or_else(|| GuptError::InvalidSpec("no range-estimation mode chosen".into()))?;
+        if let Some(partition) = spec.partition() {
+            check_partitioned(&spec, partition, &ds)?;
+        }
 
         // --- 0. Answer cache. ------------------------------------------
         // Fingerprintable queries (named program, explicit ε, tight or
@@ -955,7 +961,8 @@ impl GuptRuntime {
         let (ranges, eps_per_dim) = match &mode {
             RangeEstimation::Tight(tight) => {
                 let ranges = resolve_tight(tight, p)?;
-                (ranges, eps_total.split(p).map_err(GuptError::Dp)?)
+                let dims = spec.budget_dimensions();
+                (ranges, eps_total.split(dims).map_err(GuptError::Dp)?)
             }
             RangeEstimation::Loose(loose) => {
                 // ε/(2p) per output dimension for percentile estimation,
@@ -982,14 +989,25 @@ impl GuptRuntime {
         if tel.is_enabled() {
             tel.record_clamp_hits(clamp_hits(&outputs, &ranges));
         }
-        let values = aggregate(
-            spec.aggregation_strategy(),
-            &outputs,
-            &ranges,
-            run.gamma,
-            eps_per_dim,
-            &mut rng,
-        )?;
+        let values = match spec.partition() {
+            Some(partition) => partitioned_aggregate(
+                &outputs,
+                &run.keys,
+                partition.len(),
+                &ranges,
+                run.gamma,
+                eps_per_dim,
+                &mut rng,
+            )?,
+            None => aggregate(
+                spec.aggregation_strategy(),
+                &outputs,
+                &ranges,
+                run.gamma,
+                eps_per_dim,
+                &mut rng,
+            )?,
+        };
         tel.record_stage(Stage::Aggregation, stage_start.elapsed());
 
         let mut answer = PrivateAnswer {
@@ -1035,7 +1053,9 @@ impl GuptRuntime {
     /// - a default or fixed block size (the §4.3 aged-data optimum would
     ///   re-resolve as aging advances, silently re-keying windows);
     /// - a dataset without a group column (user-level windows would need
-    ///   group-atomic window bounds).
+    ///   group-atomic window bounds);
+    /// - no key partition (a window answer is released through the
+    ///   plain aggregate, which has no per-key output layout).
     ///
     /// ```
     /// use gupt_core::{GuptRuntimeBuilder, QuerySpec, RangeEstimation, WindowSpec};
@@ -1446,6 +1466,9 @@ pub(crate) struct Planned<'a> {
 pub(crate) struct ChamberRun {
     /// Chamber outputs in block order.
     outputs: Vec<Vec<f64>>,
+    /// For a partitioned query, the keys present in each block, in
+    /// block order (see [`gupt_sandbox::ChamberReport::keys`]).
+    keys: Vec<Vec<usize>>,
     execution: ExecutionSummary,
     num_blocks: usize,
     gamma: usize,
@@ -1527,6 +1550,7 @@ impl GuptRuntime {
                 };
                 PlannedRun {
                     program: &spec.program,
+                    partition: spec.partition(),
                     blocks,
                     seed_base: Some(query_seed),
                     plan: move |sink: &mut BlockSink<'_>| {
@@ -1565,13 +1589,17 @@ impl GuptRuntime {
         results
             .into_iter()
             .zip(drawn)
-            .map(|((reports, trace), drawn)| {
+            .map(|((mut reports, trace), drawn)| {
                 let drawn = drawn.expect("the planner runs in every dispatch");
                 ChamberRun {
                     // From the end of the draw to the last report, on the
                     // pool's clock: never more than the run's wall time.
                     chambers: trace.wall.saturating_sub(trace.drawn),
                     execution: ExecutionSummary::from_reports(&reports),
+                    keys: reports
+                        .iter_mut()
+                        .map(|r| std::mem::take(&mut r.keys))
+                        .collect(),
                     outputs: reports.into_iter().map(|r| r.output).collect(),
                     num_blocks: drawn.num_blocks,
                     gamma: drawn.gamma,
@@ -1582,6 +1610,41 @@ impl GuptRuntime {
             })
             .collect()
     }
+}
+
+/// The rules a partitioned spec must meet, checked before anything is
+/// charged — see [`crate::query::QuerySpecBuilder::partitioned`].
+fn check_partitioned(
+    spec: &QuerySpec,
+    partition: &KeyPartition,
+    ds: &Dataset,
+) -> Result<(), GuptError> {
+    let refuse = |why: &str| Err(GuptError::InvalidSpec(format!("partitioned query: {why}")));
+    if !matches!(spec.range_estimation, Some(RangeEstimation::Tight(_))) {
+        return refuse("needs tight output ranges");
+    }
+    if !matches!(spec.budget(), BudgetSpec::Epsilon(_)) {
+        return refuse("needs an explicit ε");
+    }
+    if spec.block_size_spec() == BlockSizeSpec::Optimized {
+        return refuse("needs a default or fixed block size");
+    }
+    if spec.aggregation_strategy() != Aggregator::LaplaceMean {
+        return refuse("needs the Laplace-mean aggregator");
+    }
+    if ds.group_column().is_some() {
+        return refuse(
+            "not supported on a dataset with a group column, where one user's rows \
+             can fall under many keys",
+        );
+    }
+    if let Some(&c) = partition.columns().iter().find(|&&c| c >= ds.dimension()) {
+        return refuse(&format!(
+            "key column c{c} is outside the dataset's {} column(s)",
+            ds.dimension()
+        ));
+    }
+    Ok(())
 }
 
 /// Subscription-time validation — see [`GuptRuntime::subscribe`] for the
@@ -1595,6 +1658,11 @@ fn validate_subscription(
     if p == 0 {
         return Err(GuptError::InvalidSpec(
             "program declares zero output dimensions".into(),
+        ));
+    }
+    if spec.partition().is_some() {
+        return Err(GuptError::InvalidSpec(
+            "partitioned queries are not supported as continuous queries".into(),
         ));
     }
     if spec.identity.is_none() {
@@ -1702,12 +1770,14 @@ impl DatasetHandle<'_> {
 /// exactly the values Algorithm 1's clamp would move. Telemetry only;
 /// never feeds the DP aggregate.
 fn clamp_hits(outputs: &[Vec<f64>], ranges: &[OutputRange]) -> Vec<usize> {
+    let p = ranges.len().max(1);
     ranges
         .iter()
         .enumerate()
         .map(|(d, r)| {
             outputs
                 .iter()
+                .flat_map(|o| o.chunks(p))
                 .filter(|o| o.get(d).is_some_and(|&v| !r.contains(v)))
                 .count()
         })
@@ -2195,6 +2265,123 @@ mod tests {
         // No block saw a split user (noise at ε=1000 is negligible).
         assert!(ans.values[0].abs() < 0.05, "{:?}", ans.values);
         assert_eq!(ans.gamma, 2);
+    }
+
+    /// Rows `[value, key]`: key `i % 3`, value `i % 40`.
+    fn keyed_rows(n: usize) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|i| vec![(i % 40) as f64, (i % 3) as f64])
+            .collect()
+    }
+
+    /// A partitioned mean of column 0 by the key in column 1.
+    fn keyed_mean(mode: RangeEstimation) -> QuerySpec {
+        QuerySpec::builder()
+            .view(|rows: &BlockView| {
+                let sum: f64 = rows.iter().map(|r| r[0]).sum();
+                vec![if rows.is_empty() {
+                    20.0
+                } else {
+                    sum / rows.len() as f64
+                }]
+            })
+            .identity("keyed-mean", 1)
+            .epsilon(eps(1.0))
+            .range_estimation(mode)
+            .partitioned(KeyPartition::new(vec![1], vec![0.0, 1.0, 2.0]).unwrap())
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn partitioned_query_releases_each_key_from_its_own_rows() {
+        let run = |rows: Vec<Vec<f64>>| -> Vec<u64> {
+            let rt = GuptRuntimeBuilder::new()
+                .register_dataset("t", rows, eps(100.0))
+                .unwrap()
+                .seed(9)
+                .build();
+            let tight = RangeEstimation::Tight(vec![range(0.0, 39.0)]);
+            let ans = rt.run("t", keyed_mean(tight)).unwrap();
+            assert_eq!(ans.values.len(), 3);
+            assert_eq!(ans.epsilon_spent, 1.0);
+            assert_eq!(rt.remaining_budget("t").unwrap(), 99.0);
+            ans.values.iter().map(|v| v.to_bits()).collect()
+        };
+        // Substitute one value of a key-1 row: keys 0 and 2 are released
+        // bit for bit as before, key 1 is not.
+        let before = run(keyed_rows(900));
+        let mut rows = keyed_rows(900);
+        assert_eq!(rows[4][1], 1.0);
+        rows[4][0] = 39.0;
+        let after = run(rows);
+        assert_eq!((before[0], before[2]), (after[0], after[2]));
+        assert_ne!(before[1], after[1]);
+    }
+
+    #[test]
+    fn partitioned_specs_are_refused_before_any_charge() {
+        let rt = GuptRuntimeBuilder::new()
+            .register_dataset("t", keyed_rows(300), eps(10.0))
+            .unwrap()
+            .seed(3)
+            .build();
+        let loose = keyed_mean(RangeEstimation::Loose(vec![range(0.0, 39.0)]));
+        let helper = keyed_mean(RangeEstimation::Helper {
+            input_ranges: vec![range(0.0, 39.0), range(0.0, 2.0)],
+            translate: Arc::new(|r: &[OutputRange]| vec![r[0]]),
+        });
+        for spec in [loose, helper] {
+            let err = rt.run("t", spec).unwrap_err();
+            assert!(matches!(err, GuptError::InvalidSpec(_)), "{err}");
+        }
+        assert_eq!(rt.remaining_budget("t").unwrap(), 10.0);
+
+        // A dataset with a group column: one user's rows may fall under
+        // many keys.
+        let users = Dataset::new(keyed_rows(300))
+            .unwrap()
+            .with_group_column(1)
+            .unwrap();
+        let rt = GuptRuntimeBuilder::new()
+            .register("users", users, eps(10.0))
+            .unwrap()
+            .seed(3)
+            .build();
+        let tight = RangeEstimation::Tight(vec![range(0.0, 39.0)]);
+        let err = rt.run("users", keyed_mean(tight)).unwrap_err();
+        assert!(err.to_string().contains("group column"), "{err}");
+        assert_eq!(rt.remaining_budget("users").unwrap(), 10.0);
+        assert_eq!(rt.queries_run("users").unwrap(), 0);
+    }
+
+    #[test]
+    fn partitioned_specs_cannot_subscribe() {
+        let rt = GuptRuntimeBuilder::new()
+            .register_dataset("t", keyed_rows(300), eps(10.0))
+            .unwrap()
+            .seed(3)
+            .build();
+        let spec = keyed_mean(RangeEstimation::Tight(vec![range(0.0, 39.0)]));
+        let err = rt
+            .subscribe("t", WindowSpec::tumbling(40).unwrap(), spec)
+            .unwrap_err();
+        assert!(matches!(err, GuptError::InvalidSpec(_)), "{err}");
+        assert_eq!(rt.remaining_budget("t").unwrap(), 10.0);
+        assert_eq!(rt.queries_run("t").unwrap(), 0);
+    }
+
+    #[test]
+    fn partitioned_budget_splits_over_twice_the_program_dimension() {
+        let rt = GuptRuntimeBuilder::new()
+            .register_dataset("t", keyed_rows(300), eps(10.0))
+            .unwrap()
+            .build();
+        let spec = keyed_mean(RangeEstimation::Tight(vec![range(0.0, 39.0)]));
+        assert_eq!(spec.budget_dimensions(), 2);
+        let (plan, _) = rt.explain("t", &spec).unwrap();
+        assert_eq!(plan.split.aggregation_per_dim, 0.5);
+        assert_eq!(plan.noise_std_per_dim.len(), 1, "one scale for every key");
     }
 
     #[test]

@@ -67,6 +67,72 @@ pub fn sample_and_aggregate<R: Rng + ?Sized>(
         .collect()
 }
 
+/// The sample-and-aggregate release of a partitioned query over `keys`
+/// keys: per key `g` and dimension `d`, `mean_clamped + Lap(γ·widthᵈ /
+/// (ℓ·ε_dim))`, where block `b` contributes key `g`'s output when `g`
+/// is present in `b` and the block's empty-sub-view output otherwise.
+///
+/// `outputs` and `ranks` hold each block's output and present keys as
+/// a partitioned chamber reports them: the `p` values of the empty
+/// sub-view, then `p` values per present key, in `ranks` order. The
+/// sums are kept sparsely — the empty outputs once for all keys, plus
+/// each present key's difference from its block's empty output — so the
+/// work is
+/// O(ℓ·p + (present pairs)·p + keys·p), never ℓ·keys·p. Key `g`'s mean
+/// reads only the empty outputs and `g`'s own outputs. Values come back
+/// key-major: key 0's `p` values, then key 1's, and so on.
+pub fn partitioned_aggregate<R: Rng + ?Sized>(
+    outputs: &[Vec<f64>],
+    ranks: &[Vec<usize>],
+    keys: usize,
+    ranges: &[OutputRange],
+    gamma: usize,
+    eps_per_dim: Epsilon,
+    rng: &mut R,
+) -> Result<Vec<f64>, GuptError> {
+    if outputs.is_empty() {
+        return Err(GuptError::InvalidSpec(
+            "no block outputs to aggregate".into(),
+        ));
+    }
+    let p = ranges.len();
+    let clamped = |values: &[f64], d: usize| ranges[d].clamp(values[d]);
+    let mut absent = vec![0.0; p];
+    let mut present = vec![0.0; keys * p];
+    for (output, ranks) in outputs.iter().zip(ranks) {
+        if output.len() != (1 + ranks.len()) * p || ranks.iter().any(|&g| g >= keys) {
+            return Err(GuptError::DimensionMismatch {
+                expected: (1 + ranks.len()) * p,
+                got: output.len(),
+            });
+        }
+        let (empty, keyed) = output.split_at(p);
+        for (d, sum) in absent.iter_mut().enumerate() {
+            *sum += clamped(empty, d);
+        }
+        for (&g, out) in ranks.iter().zip(keyed.chunks_exact(p)) {
+            for d in 0..p {
+                present[g * p + d] += clamped(out, d) - clamped(empty, d);
+            }
+        }
+    }
+    let l = outputs.len() as f64;
+    let gamma = gamma.max(1) as f64;
+    let sensitivities = ranges
+        .iter()
+        .map(|r| Sensitivity::new(gamma * r.width() / l).map_err(GuptError::Dp))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(present
+        .iter()
+        .enumerate()
+        .map(|(i, diff)| {
+            let d = i % p;
+            let mean = ranges[d].clamp((absent[d] + diff) / l);
+            laplace_mechanism(mean, sensitivities[d], eps_per_dim, rng)
+        })
+        .collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

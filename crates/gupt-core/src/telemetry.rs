@@ -248,14 +248,17 @@ impl StreamTelemetry {
 /// the runtime itself never sees SQL text. `suppressed_groups` makes
 /// the minimum-frequency release rule auditable: it counts GROUP BY
 /// groups whose noisy count fell below the release threshold and were
-/// therefore withheld from the answer.
+/// therefore withheld from the answer. It is an operator-only figure:
+/// with the released rows it gives the raw number of distinct keys,
+/// which no charged mechanism covers, so the analyst's answer never
+/// carries it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SqlTelemetry {
     /// SQL statements parsed into a typed AST.
     pub statements_parsed: u64,
-    /// `QuerySpec` plans compiled from those statements (one statement
-    /// can plan several specs: multi-aggregate selects and per-group
-    /// GROUP BY sub-plans).
+    /// Statements compiled onto `QuerySpec` plans (a multi-aggregate
+    /// select plans one spec per aggregate, a GROUP BY one partitioned
+    /// spec).
     pub statements_planned: u64,
     /// Groups suppressed by the minimum-frequency release rule.
     pub suppressed_groups: u64,

@@ -132,6 +132,8 @@ mod tests {
     use super::*;
     use crate::chamber::{Chamber, ChamberOutcome};
     use crate::policy::ChamberPolicy;
+    use crate::program::ClosureProgram;
+    use crate::route::KeyPartition;
 
     fn block_with(values: &[f64]) -> BlockView {
         let rows: Vec<Vec<f64>> = values.iter().map(|&v| vec![v]).collect();
@@ -170,6 +172,42 @@ mod tests {
         assert!(
             diff < Duration::from_millis(25),
             "timing channel visible: {diff:?}"
+        );
+    }
+
+    #[test]
+    fn partitioned_blocks_pad_to_one_budget_whatever_their_key_count() {
+        // Two blocks of four rows: one holds a single key, the other
+        // four, so the second makes five program calls to the first's
+        // two. Padded, both occupy the block's one budget.
+        let budget = Duration::from_millis(100);
+        let program: Arc<dyn BlockProgram> = Arc::new(ClosureProgram::new(1, |b: &BlockView| {
+            std::thread::sleep(Duration::from_millis(10));
+            vec![b.len() as f64]
+        }));
+        let partition = KeyPartition::new(vec![0], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        let chamber = Chamber::new(ChamberPolicy::bounded(budget, 0.0));
+        let one_key = chamber.execute_partitioned(
+            Arc::clone(&program),
+            &partition,
+            block_with(&[1.0; 4]),
+            None,
+        );
+        let four_keys = chamber.execute_partitioned(
+            program,
+            &partition,
+            block_with(&[1.0, 2.0, 3.0, 4.0]),
+            None,
+        );
+        assert_eq!(one_key.keys, vec![0]);
+        assert_eq!(four_keys.keys, vec![0, 1, 2, 3]);
+        assert_eq!(one_key.outcome, ChamberOutcome::Completed);
+        assert_eq!(four_keys.outcome, ChamberOutcome::Completed);
+        assert!(one_key.elapsed >= budget && four_keys.elapsed >= budget);
+        let diff = one_key.elapsed.abs_diff(four_keys.elapsed);
+        assert!(
+            diff < Duration::from_millis(25),
+            "key count visible: {diff:?}"
         );
     }
 

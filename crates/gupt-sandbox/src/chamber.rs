@@ -35,6 +35,7 @@
 use crate::exec::{chamber_seed, ExecutionPolicy};
 use crate::policy::ChamberPolicy;
 use crate::program::BlockProgram;
+use crate::route::KeyPartition;
 use crate::scratch::Scratch;
 use crate::view::BlockView;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
@@ -59,12 +60,21 @@ pub enum ChamberOutcome {
 /// The result of one chamber invocation.
 #[derive(Debug, Clone)]
 pub struct ChamberReport {
-    /// Program output, normalised to the declared output dimension.
+    /// Program output, normalised to the declared output dimension. For
+    /// a block of a partitioned run ([`Chamber::execute_partitioned`]):
+    /// the output on the block's empty sub-view, then one output per
+    /// entry of `keys`, each normalised to the declared dimension.
     pub output: Vec<f64>,
-    /// How the invocation ended.
+    /// The ranks of the keys present in a partitioned run's block, in
+    /// ascending order; empty for any other run.
+    pub keys: Vec<usize>,
+    /// How the invocation ended: for a partitioned block, the first of
+    /// its program calls that did not complete, else `Completed`.
     pub outcome: ChamberOutcome,
     /// Wall-clock time the chamber occupied, including padding. Under a
-    /// padding policy this is data-independent by construction.
+    /// padding policy this is data-independent by construction: a
+    /// partitioned block is padded once, to the same budget, whatever
+    /// the number of keys it holds.
     pub elapsed: Duration,
 }
 
@@ -107,32 +117,98 @@ impl Chamber {
         seed: Option<u64>,
     ) -> ChamberReport {
         let start = Instant::now();
+        let (output, outcome) = self.invoke(program, block, seed, self.policy.execution_budget);
+        self.pad(start);
+        ChamberReport {
+            output,
+            keys: Vec::new(),
+            outcome,
+            elapsed: start.elapsed(),
+        }
+    }
+
+    /// Executes one block of a partitioned run: routes the block's rows
+    /// to their keys in `partition` and runs `program` once on the sub-view
+    /// of each key present, and once on an empty sub-view standing for
+    /// every absent key (see [`crate::route`]).
+    ///
+    /// Each program call is contained on its own, on a fresh scratch with
+    /// the block's seed: a panic or overrun replaces only that key's
+    /// output, which keeps every key's output a function of its own rows
+    /// and of the block's length alone. The block shares one execution
+    /// budget: each call is killed after `budget / (1 + block length)`,
+    /// an even share of the most calls a block of that length can make,
+    /// so the whole block never runs past its budget and no call's bound
+    /// depends on another key's rows. Padding then fills the block once,
+    /// to the budget, whatever the number of keys it holds.
+    pub fn execute_partitioned(
+        &self,
+        program: Arc<dyn BlockProgram>,
+        partition: &KeyPartition,
+        block: BlockView,
+        seed: Option<u64>,
+    ) -> ChamberReport {
+        let start = Instant::now();
+        let share = self.policy.execution_budget.map(|budget| {
+            let calls = 1 + block.len() as u128;
+            Duration::from_nanos((budget.as_nanos() / calls) as u64)
+        });
+        let routed = partition.route(&block);
+        let (mut output, mut outcome) = self.invoke(
+            Arc::clone(&program),
+            KeyPartition::absent(&block),
+            seed,
+            share,
+        );
+        let mut keys = Vec::with_capacity(routed.len());
+        for (rank, view) in routed {
+            let (out, ended) = self.invoke(Arc::clone(&program), view, seed, share);
+            output.extend(out);
+            keys.push(rank);
+            if outcome == ChamberOutcome::Completed {
+                outcome = ended;
+            }
+        }
+        self.pad(start);
+        ChamberReport {
+            output,
+            keys,
+            outcome,
+            elapsed: start.elapsed(),
+        }
+    }
+
+    /// One program call, killed after `budget` if one is given: its
+    /// output, normalised to the declared dimension, and how it ended.
+    fn invoke(
+        &self,
+        program: Arc<dyn BlockProgram>,
+        block: BlockView,
+        seed: Option<u64>,
+        budget: Option<Duration>,
+    ) -> (Vec<f64>, ChamberOutcome) {
         let dim = program.output_dimension();
         let fallback = vec![self.policy.fallback_value; dim];
-
-        let (output, outcome) = match self.policy.execution_budget {
+        let (mut output, outcome) = match budget {
             None => self.run_inline(program.as_ref(), &block, &fallback, seed),
             Some(budget) => self.run_bounded(program, block, budget, &fallback, seed),
         };
-
-        let mut output = output;
         normalize_arity(&mut output, dim, self.policy.fallback_value);
+        (output, outcome)
+    }
 
-        // Constant-time padding: consume the rest of the budget so the
-        // chamber's total occupancy is independent of the data.
-        if self.policy.pad_to_budget {
-            if let Some(budget) = self.policy.execution_budget {
-                let elapsed = start.elapsed();
-                if elapsed < budget {
-                    std::thread::sleep(budget - elapsed);
-                }
-            }
+    /// Constant-time padding: under a padding policy, sleeps out the
+    /// rest of the budget counted from `start`, so the chamber's total
+    /// occupancy is independent of the data.
+    fn pad(&self, start: Instant) {
+        if !self.policy.pad_to_budget {
+            return;
         }
-
-        ChamberReport {
-            output,
-            outcome,
-            elapsed: start.elapsed(),
+        if let Some(budget) = self.policy.execution_budget {
+            let elapsed = start.elapsed();
+            if elapsed < budget {
+                std::thread::sleep(budget - elapsed);
+            }
         }
     }
 
@@ -275,6 +351,9 @@ impl PoolTrace {
 pub struct PlannedRun<'a, P> {
     /// The program every block of this run executes.
     pub program: &'a Arc<dyn BlockProgram>,
+    /// The run's key partition, for a partitioned run: each block then
+    /// runs through [`Chamber::execute_partitioned`].
+    pub partition: Option<&'a KeyPartition>,
     /// Blocks `plan` publishes, with indices `0..blocks`.
     pub blocks: usize,
     /// Chamber `i` of this run is seeded with
@@ -346,6 +425,7 @@ impl BlockSink<'_> {
 /// What one run of a dispatch carries from admission to its last report.
 struct Run<'a, P> {
     program: &'a Arc<dyn BlockProgram>,
+    partition: Option<&'a KeyPartition>,
     seed_base: Option<u64>,
     /// `None` once drawn, and for blocks that came ready.
     plan: Mutex<Option<P>>,
@@ -368,6 +448,7 @@ where
 {
     fn new(
         program: &'a Arc<dyn BlockProgram>,
+        partition: Option<&'a KeyPartition>,
         seed_base: Option<u64>,
         views: Vec<Slot>,
         plan: Option<P>,
@@ -375,6 +456,7 @@ where
         let blocks = views.len();
         Run {
             program,
+            partition,
             seed_base,
             plan: Mutex::new(plan),
             views: views.into_iter().map(Mutex::new).collect(),
@@ -435,7 +517,11 @@ where
             panic!("block {i} queued before it was published");
         };
         let seed = self.seed_base.map(|b| chamber_seed(b, i as u64));
-        let report = chamber.execute_seeded(Arc::clone(self.program), view, seed);
+        let program = Arc::clone(self.program);
+        let report = match self.partition {
+            Some(partition) => chamber.execute_partitioned(program, partition, view, seed),
+            None => chamber.execute_seeded(program, view, seed),
+        };
         let elapsed = report.elapsed;
         assert!(self.reports[i].set(report).is_ok(), "block {i} ran twice");
         elapsed
@@ -714,7 +800,13 @@ impl ChamberPool {
         seed_base: Option<u64>,
     ) -> (Vec<ChamberReport>, PoolTrace) {
         let ready = views.into_iter().map(Slot::Ready).collect();
-        let run = Run::new(program, seed_base, ready, None::<fn(&mut BlockSink<'_>)>);
+        let run = Run::new(
+            program,
+            None,
+            seed_base,
+            ready,
+            None::<fn(&mut BlockSink<'_>)>,
+        );
         one(self.dispatch(vec![run]))
     }
 
@@ -737,6 +829,7 @@ impl ChamberPool {
     {
         one(self.run_batch(vec![PlannedRun {
             program,
+            partition: None,
             blocks,
             seed_base,
             plan,
@@ -770,7 +863,13 @@ impl ChamberPool {
             .into_iter()
             .map(|run| {
                 let empty = (0..run.blocks).map(|_| Slot::Empty).collect();
-                Run::new(run.program, run.seed_base, empty, Some(run.plan))
+                Run::new(
+                    run.program,
+                    run.partition,
+                    run.seed_base,
+                    empty,
+                    Some(run.plan),
+                )
             })
             .collect();
         self.dispatch(runs)
@@ -917,6 +1016,53 @@ mod tests {
         let report = chamber.execute(sum_program(), view(&[vec![1.0], vec![2.0], vec![3.0]]));
         assert_eq!(report.outcome, ChamberOutcome::Completed);
         assert_eq!(report.output, vec![6.0]);
+    }
+
+    #[test]
+    fn partitioned_block_runs_once_per_present_key() {
+        // Column 1 is the key; key 3.0 is in the partition but not in
+        // the block, key 9.0 in the block but not in the partition. The
+        // program panics on key 2's rows: only that key's output falls
+        // back.
+        let partition = KeyPartition::new(vec![1], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        let p: Arc<dyn BlockProgram> = Arc::new(ClosureProgram::new(2, |b: &BlockView| {
+            assert!(b.iter().all(|r| r[1] != 2.0), "hostile on key 2");
+            vec![b.iter().map(|r| r[0]).sum::<f64>(), b.block_len() as f64]
+        }));
+        let block = view(&[
+            vec![1.0, 4.0],
+            vec![2.0, 1.0],
+            vec![4.0, 9.0],
+            vec![8.0, 4.0],
+            vec![16.0, 2.0],
+        ]);
+        let chamber = Chamber::new(ChamberPolicy::unbounded().with_fallback(-1.0));
+        let report = chamber.execute_partitioned(p, &partition, block, Some(5));
+        assert_eq!(report.keys, vec![0, 1, 3]);
+        assert_eq!(
+            report.output,
+            vec![0.0, 5.0, 2.0, 5.0, -1.0, -1.0, 9.0, 5.0]
+        );
+        assert_eq!(report.outcome, ChamberOutcome::Panicked);
+    }
+
+    #[test]
+    fn partitioned_block_runs_within_one_budget() {
+        // Every call stalls far past the budget: each is killed after its
+        // share, so the block of four keys (five calls) ends near one
+        // budget, not five, with every output the fallback.
+        let partition = KeyPartition::new(vec![0], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        let p: Arc<dyn BlockProgram> = Arc::new(ClosureProgram::new(1, |_: &BlockView| {
+            std::thread::sleep(Duration::from_secs(5));
+            vec![9.0]
+        }));
+        let budget = Duration::from_millis(100);
+        let chamber = Chamber::new(ChamberPolicy::bounded(budget, 0.5).without_padding());
+        let block = view(&[vec![1.0], vec![2.0], vec![3.0], vec![4.0]]);
+        let report = chamber.execute_partitioned(p, &partition, block, None);
+        assert_eq!(report.outcome, ChamberOutcome::TimedOut);
+        assert_eq!(report.output, vec![0.5; 5]);
+        assert!(report.elapsed < 2 * budget, "{:?}", report.elapsed);
     }
 
     #[test]
@@ -1416,6 +1562,7 @@ mod tests {
     ) -> PlannedRun<'_, impl FnOnce(&mut BlockSink<'_>) + Send> {
         PlannedRun {
             program,
+            partition: None,
             blocks,
             seed_base: Some(base as u64),
             plan: move |sink: &mut BlockSink<'_>| {
@@ -1489,6 +1636,7 @@ mod tests {
                 let runs = (0..6)
                     .map(|r| PlannedRun {
                         program: &p,
+                        partition: None,
                         blocks: 4,
                         seed_base: None,
                         plan: move |sink: &mut BlockSink<'_>| {
@@ -1551,6 +1699,7 @@ mod tests {
                         (Arc::clone(&live), Arc::clone(&peak), Arc::clone(&left));
                     PlannedRun {
                         program: &p,
+                        partition: None,
                         blocks: 6,
                         seed_base: None,
                         plan: move |sink: &mut BlockSink<'_>| {

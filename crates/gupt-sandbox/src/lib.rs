@@ -38,6 +38,7 @@ pub mod chamber;
 pub mod exec;
 pub mod policy;
 pub mod program;
+pub mod route;
 pub mod scratch;
 pub mod view;
 
@@ -47,5 +48,6 @@ pub use chamber::{
 pub use exec::ExecutionPolicy;
 pub use policy::ChamberPolicy;
 pub use program::{BlockProgram, ClosureProgram, RowSliceProgram};
+pub use route::KeyPartition;
 pub use scratch::Scratch;
-pub use view::{BlockRows, BlockView, RowStore, RowTags};
+pub use view::{BlockRows, BlockView, RowStore};

@@ -16,7 +16,9 @@ use std::time::Duration;
 #[derive(Debug, Clone)]
 pub struct ChamberPolicy {
     /// Wall-clock execution budget. `None` disables the bound (trusted
-    /// benchmarking mode; a production deployment always sets it).
+    /// benchmarking mode; a production deployment always sets it). A
+    /// block of a partitioned run shares one budget across its program
+    /// calls (see [`crate::Chamber::execute_partitioned`]).
     pub execution_budget: Option<Duration>,
     /// When `true` and a budget is set, a chamber that finishes early
     /// sleeps out the remainder so its total runtime is constant —

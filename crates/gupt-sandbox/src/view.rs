@@ -302,9 +302,11 @@ enum ViewIndices {
     /// A contiguous row range `start..start+len` (estimator paths:
     /// whole-table runs, aged-data chunks). Costs no index storage.
     Dense { start: usize, len: usize },
-    /// An explicit index list shared with the block plan. `Arc`-backed
-    /// so cloning the view never copies the indices either.
-    Sparse(Arc<[usize]>),
+    /// The window `range` of an explicit index list shared with the
+    /// block plan (all of it, except for a key's rows routed out of a
+    /// block). `Arc`-backed so cloning the view never copies the
+    /// indices either.
+    Sparse(Arc<[usize]>, std::ops::Range<usize>),
 }
 
 /// A read-only window onto an [`Arc<RowStore>`]: the block a chamber
@@ -320,6 +322,9 @@ enum ViewIndices {
 pub struct BlockView {
     store: Arc<RowStore>,
     indices: ViewIndices,
+    /// Rows of the block this view was cut from: its own length, except
+    /// for one key's sub-view of a routed block.
+    block_len: usize,
 }
 
 impl BlockView {
@@ -333,9 +338,11 @@ impl BlockView {
             indices.iter().all(|&i| i < n),
             "block index out of bounds for store of {n} rows"
         );
+        let len = indices.len();
         BlockView {
             store,
-            indices: ViewIndices::Sparse(indices),
+            indices: ViewIndices::Sparse(indices, 0..len),
+            block_len: len,
         }
     }
 
@@ -350,6 +357,7 @@ impl BlockView {
         BlockView {
             store,
             indices: ViewIndices::Dense { start, len },
+            block_len: len,
         }
     }
 
@@ -371,13 +379,22 @@ impl BlockView {
     pub fn len(&self) -> usize {
         match &self.indices {
             ViewIndices::Dense { len, .. } => *len,
-            ViewIndices::Sparse(idx) => idx.len(),
+            ViewIndices::Sparse(_, range) => range.len(),
         }
     }
 
     /// Whether the block is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Rows of the block this view was cut from. For one key's sub-view
+    /// of a partitioned query's block (see
+    /// [`crate::route::KeyPartition::route`]) that is the whole block's
+    /// length, which per-key estimators scale by; for any other view it
+    /// is [`BlockView::len`].
+    pub fn block_len(&self) -> usize {
+        self.block_len
     }
 
     /// Row arity of the underlying store.
@@ -393,7 +410,7 @@ impl BlockView {
                 assert!(i < *len, "row {i} out of bounds for block of {len} rows");
                 self.store.row(start + i)
             }
-            ViewIndices::Sparse(idx) => self.store.row(idx[i]),
+            ViewIndices::Sparse(idx, range) => self.store.row(idx[range.clone()][i]),
         }
     }
 
@@ -402,10 +419,10 @@ impl BlockView {
     pub fn iter(&self) -> BlockRows<'_> {
         match &self.indices {
             ViewIndices::Dense { start, len } => BlockRows::dense(&self.store, *start, start + len),
-            ViewIndices::Sparse(idx) => BlockRows {
+            ViewIndices::Sparse(idx, range) => BlockRows {
                 rows: Rows::Sparse {
                     store: &self.store,
-                    indices: idx.iter(),
+                    indices: idx[range.clone()].iter(),
                 },
             },
         }
@@ -429,30 +446,24 @@ impl BlockView {
         Arc::ptr_eq(&self.store, store)
     }
 
-    /// The block's rows whose tag in `tags` equals `tag`, in block order,
-    /// or `None` when `tags` was classified over a different store.
-    ///
-    /// Only the tags of the block's own rows are read, and a row's values
-    /// only when its tag matches, so a filtered pass over a block costs
-    /// one `u16` comparison per row instead of re-evaluating the filter.
-    pub fn rows_tagged<'a>(
-        &'a self,
-        tags: &'a RowTags,
-        tag: u16,
-    ) -> Option<impl Iterator<Item = &'a [f64]> + 'a> {
-        if !Arc::ptr_eq(&self.store, &tags.store) {
-            return None;
+    /// The store position of the block's `i`-th row.
+    #[inline]
+    pub(crate) fn position(&self, i: usize) -> usize {
+        match &self.indices {
+            ViewIndices::Dense { start, .. } => start + i,
+            ViewIndices::Sparse(idx, range) => idx[range.start + i],
         }
-        let positions = match &self.indices {
-            ViewIndices::Dense { start, len } => Positions::Dense(*start..start + len),
-            ViewIndices::Sparse(idx) => Positions::Sparse(idx.iter()),
-        };
-        let store = &*self.store;
-        Some(
-            positions
-                .filter(move |&i| tags.tags[i] == tag)
-                .map(move |i| store.row(i)),
-        )
+    }
+
+    /// The sub-view of the store positions `positions[range]`, which the
+    /// caller took from this view's own rows, remembering this view's
+    /// length as its block length.
+    pub(crate) fn sub_view(&self, positions: Arc<[usize]>, range: std::ops::Range<usize>) -> Self {
+        BlockView {
+            store: Arc::clone(&self.store),
+            indices: ViewIndices::Sparse(positions, range),
+            block_len: self.len(),
+        }
     }
 
     /// Bytes of *index* bookkeeping this view carries (0 for dense
@@ -460,7 +471,7 @@ impl BlockView {
     pub fn index_bytes(&self) -> usize {
         match &self.indices {
             ViewIndices::Dense { .. } => 0,
-            ViewIndices::Sparse(idx) => idx.len() * std::mem::size_of::<usize>(),
+            ViewIndices::Sparse(_, range) => range.len() * std::mem::size_of::<usize>(),
         }
     }
 
@@ -479,7 +490,10 @@ impl BlockView {
     pub fn column_sum(&self, d: usize) -> f64 {
         match &self.indices {
             ViewIndices::Dense { start, len } => self.store.column_sum_range(d, *start, *len),
-            ViewIndices::Sparse(idx) => idx.iter().map(|&i| self.store.row(i)[d]).sum(),
+            ViewIndices::Sparse(idx, range) => idx[range.clone()]
+                .iter()
+                .map(|&i| self.store.row(i)[d])
+                .sum(),
         }
     }
 
@@ -500,55 +514,10 @@ impl BlockView {
             ViewIndices::Dense { start, len } => {
                 self.store.column_clamped_sum_range(d, *start, *len, lo, hi)
             }
-            ViewIndices::Sparse(idx) => idx
+            ViewIndices::Sparse(idx, range) => idx[range.clone()]
                 .iter()
                 .map(|&i| self.store.row(i)[d].min(hi).max(lo))
                 .sum(),
-        }
-    }
-}
-
-/// The store positions a view covers, in block order.
-enum Positions<'a> {
-    Dense(std::ops::Range<usize>),
-    Sparse(std::slice::Iter<'a, usize>),
-}
-
-impl Iterator for Positions<'_> {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        match self {
-            Positions::Dense(range) => range.next(),
-            Positions::Sparse(indices) => indices.next().copied(),
-        }
-    }
-}
-
-/// One `u16` tag per row of a store, computed once by a pure function
-/// of the row — e.g. the rank of the row's `GROUP BY` key, so every
-/// per-group program tests a tag instead of re-evaluating the filter.
-///
-/// The tags keep the store they were classified over alive, and
-/// [`BlockView::rows_tagged`] uses them only for views over that same
-/// store. Holding the `Arc` also means an append during the tags'
-/// lifetime copies the store rather than growing it in place, so the
-/// tags never describe rows they were not computed from. Tags are read
-/// only through a view, by the view's own rows: no store position
-/// reaches a program.
-#[derive(Debug, Clone)]
-pub struct RowTags {
-    store: Arc<RowStore>,
-    tags: Arc<[u16]>,
-}
-
-impl RowTags {
-    /// Tags every row of `store` with `f(row)`, in one pass.
-    pub fn classify(store: &Arc<RowStore>, f: impl Fn(&[f64]) -> u16) -> RowTags {
-        RowTags {
-            store: Arc::clone(store),
-            tags: store.iter_rows().map(f).collect(),
         }
     }
 }

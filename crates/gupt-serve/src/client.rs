@@ -448,7 +448,7 @@ mod tests {
             .deadline_ms(500)
             .to_json();
         let doc = json::parse(&p).unwrap();
-        assert_eq!(doc.get("v").unwrap().as_number(), Some(4.0));
+        assert_eq!(doc.get("v").unwrap().as_number(), Some(5.0));
         assert_eq!(doc.get("op").unwrap().as_str(), Some("query"));
         assert_eq!(doc.get("dataset").unwrap().as_str(), Some("census"));
         assert_eq!(doc.get("program").unwrap().as_str(), Some("histogram:2:4"));
@@ -466,7 +466,7 @@ mod tests {
             .principal("alice")
             .to_json();
         let doc = json::parse(&p).unwrap();
-        assert_eq!(doc.get("v").unwrap().as_number(), Some(4.0));
+        assert_eq!(doc.get("v").unwrap().as_number(), Some(5.0));
         assert_eq!(doc.get("op").unwrap().as_str(), Some("append"));
         assert_eq!(doc.get("dataset").unwrap().as_str(), Some("census"));
         assert_eq!(doc.get("principal").unwrap().as_str(), Some("alice"));
@@ -485,7 +485,7 @@ mod tests {
             .block_size(32)
             .to_json();
         let doc = json::parse(&p).unwrap();
-        assert_eq!(doc.get("v").unwrap().as_number(), Some(4.0));
+        assert_eq!(doc.get("v").unwrap().as_number(), Some(5.0));
         assert_eq!(doc.get("op").unwrap().as_str(), Some("subscribe"));
         assert_eq!(doc.get("epsilon").unwrap().as_number(), Some(0.25));
         let win = doc.get("window").unwrap();
@@ -516,7 +516,7 @@ mod tests {
             .block_size(64)
             .to_json();
         let doc = json::parse(&p).unwrap();
-        assert_eq!(doc.get("v").unwrap().as_number(), Some(4.0));
+        assert_eq!(doc.get("v").unwrap().as_number(), Some(5.0));
         assert_eq!(doc.get("op").unwrap().as_str(), Some("sql"));
         assert_eq!(
             doc.get("query").unwrap().as_str(),

@@ -59,6 +59,7 @@
 
 pub mod catalog;
 pub mod client;
+mod histogram;
 pub mod json;
 pub mod protocol;
 pub mod server;

@@ -52,12 +52,20 @@
 //! key set — are rejected with `bad_request`; relaxing the gate is
 //! operator-side configuration, never a wire parameter. The response
 //! carries a `sql` object:
-//! `columns`, `rows` (each `{group, values, noisy_count}`),
-//! `epsilon_spent` and `suppressed_groups`. SQL failures get their own
+//! `columns`, `rows` (each `{group, values, noisy_count}`) and
+//! `epsilon_spent`. SQL failures get their own
 //! statuses: a syntax error is `parse_error` (422) with
 //! `error.detail.line`/`error.detail.column`, an un-plannable
 //! statement is `plan_error` (424); runtime failures keep the standard
 //! mappings above.
+//!
+//! **v5** changes one response, not a request: the `sql` object no
+//! longer carries `suppressed_groups`. Released rows plus suppressed
+//! groups equalled the raw number of distinct keys, a statistic of the
+//! private rows that no charged mechanism covered, so it now goes only
+//! to the operator's telemetry. Requests are unchanged: a v4 `sql`
+//! request is answered exactly as a v5 one, and every response is
+//! stamped `"v":5`.
 //!
 //! The streaming ops (new in v3) register and drive continuous
 //! windowed queries. `subscribe` carries the same program/ε/ranges
@@ -102,10 +110,10 @@ use std::io::{Read, Write};
 /// stamped with it. Requests may carry any version in
 /// `[MIN_PROTOCOL_VERSION, PROTOCOL_VERSION]`; anything outside that
 /// window is refused with `bad_request`.
-pub const PROTOCOL_VERSION: u32 = 4;
+pub const PROTOCOL_VERSION: u32 = 5;
 
-/// Oldest request version still accepted. v1–v3 requests keep working —
-/// every older op has identical semantics under v4 — but newer ops
+/// Oldest request version still accepted. v1–v4 requests keep working —
+/// every older op has identical semantics under v5 — but newer ops
 /// (`append` from v2, `subscribe`/`poll` from v3, `sql` from v4) are
 /// refused on an older request with a version hint.
 pub const MIN_PROTOCOL_VERSION: u32 = 1;
@@ -488,17 +496,18 @@ mod tests {
     }
 
     #[test]
-    fn version_window_accepts_v1_through_v4_only() {
+    fn version_window_accepts_v1_through_v5_only() {
         assert!(version_supported(1.0));
         assert!(version_supported(2.0));
         assert!(version_supported(3.0));
         assert!(version_supported(4.0));
+        assert!(version_supported(5.0));
         assert!(!version_supported(0.0));
-        assert!(!version_supported(5.0));
+        assert!(!version_supported(6.0));
         assert!(!version_supported(9.0));
         assert!(!version_supported(1.5));
         assert_eq!(MIN_PROTOCOL_VERSION, 1);
-        assert_eq!(PROTOCOL_VERSION, 4);
+        assert_eq!(PROTOCOL_VERSION, 5);
     }
 
     #[test]

@@ -10,13 +10,21 @@
 //! - **Multiple aggregates, no `GROUP BY`** — one spec per aggregate,
 //!   submitted as a §5.2 batch: the statement budget is distributed
 //!   with the noise-equalising rule and debited in one atomic charge.
-//! - **`GROUP BY`** — one spec per (group, aggregate) pair plus a
-//!   noisy `COUNT` per group (reusing a selected `COUNT` when there is
-//!   one), all submitted as one batch. Groups whose *noisy* count falls
-//!   below the minimum-frequency threshold are suppressed entirely —
-//!   the DPSQL′ rule (PAPERS.md): releasing a rare group's row would
-//!   leak membership even though each released number is DP, because
-//!   the *set of released keys* is data-dependent.
+//! - **`GROUP BY`** — one pass over the rows finds the sorted distinct
+//!   keys of the rows `WHERE` passes ([`KeyPartition::scan`]), and the
+//!   statement compiles to **one** partitioned spec over them
+//!   ([`grouped_spec`]): one block plan over all `n` rows, one chamber
+//!   per block that routes the block's rows to their keys and runs the
+//!   per-key estimators on each key's rows, and one charge of the
+//!   statement ε, split over `2k'` dimensions for `k'` estimators
+//!   whatever the number of keys (see
+//!   [`gupt_core::QuerySpec::budget_dimensions`]). Each key carries a
+//!   noisy `COUNT` — a selected one, or a hidden `COUNT(*)` appended to
+//!   the estimators — and keys whose *noisy* count falls below the
+//!   minimum-frequency threshold are suppressed entirely: the DPSQL′
+//!   rule (PAPERS.md). Releasing a rare key's row would leak membership
+//!   even though each released number is DP, because the *set of
+//!   released keys* is data-dependent.
 //!
 //! # What the frequency gate does and does not guarantee
 //!
@@ -33,29 +41,19 @@
 //! (see [`SqlOptions::trusted`]).
 //!
 //! Because the candidate keys are enumerated from raw rows, the
-//! executor must never branch *observably* on that raw set. A grouped
-//! statement therefore charges its full budget even when the `WHERE`
-//! predicate matches no rows — a free empty answer would be a
-//! noiseless, infinitely retryable membership oracle (`SELECT COUNT(*)
-//! FROM t WHERE c0 = v GROUP BY c1` answered for free exactly when no
-//! row has `c0 = v`). The empty case runs a hidden `COUNT(*)` under
-//! the full statement ε and discards it, so "no matching rows" and
-//! "every group suppressed" cost the same on the ledger and report the
-//! same `epsilon_spent`. Likewise the over-[`MAX_GROUPS`] plan error
-//! carries no data-dependent cardinality, only the fixed cap.
+//! executor never branches *observably* on that raw set. Every grouped
+//! statement is the same single charged run, however many keys the
+//! rows hold — none, a thousand or more — and no key's noise scale
+//! depends on their number. The number of suppressed keys reaches only
+//! the operator-facing [`SqlTelemetry`]; the analyst sees the released
+//! rows alone.
 
 use crate::ast::{AggFunc, Statement};
 use crate::error::SqlError;
 use crate::parser::parse;
-use crate::plan::{aggregate_spec, grouped_aggregate_spec, validate, PlanContext, RowFilter};
-use gupt_core::{GuptRuntime, QuerySpec, RowStore, RowTags, SqlTelemetry, TelemetryReport};
+use crate::plan::{aggregate_spec, grouped_spec, validate, PlanContext, RowFilter};
+use gupt_core::{GuptRuntime, KeyPartition, QuerySpec, SqlTelemetry, TelemetryReport};
 use gupt_dp::Epsilon;
-use std::cmp::Ordering;
-use std::sync::Arc;
-
-/// Hard cap on `GROUP BY` cardinality: beyond this the per-group budget
-/// shares are uselessly small and the batch uselessly large.
-pub const MAX_GROUPS: usize = 1000;
 
 /// Default minimum-frequency threshold. [`SqlOptions::default`] arms
 /// the gate at this value, and the serve plane refuses remote requests
@@ -99,8 +97,8 @@ pub struct SqlOptions {
     /// Minimum-frequency threshold: a `GROUP BY` group is released only
     /// if its noisy count is at least this value. Defaults to
     /// [`DEFAULT_MIN_COUNT`] — the gate is armed unless explicitly
-    /// disarmed. `0` disables the rule (and skips the hidden per-group
-    /// count when no `COUNT` was selected), which releases the raw,
+    /// disarmed. `0` disables the rule (and skips the hidden `COUNT(*)`
+    /// estimator when no `COUNT` was selected), which releases the raw,
     /// data-dependent key set; use [`SqlOptions::trusted`] so that
     /// opt-out is visible at the call site. [`gate_delta`] quantifies
     /// the residual δ for a given threshold and noise scale.
@@ -161,16 +159,19 @@ pub struct SqlAnswer {
     pub columns: Vec<String>,
     /// Released rows, group keys in ascending order.
     pub rows: Vec<SqlRow>,
-    /// Total ε debited for this statement (0 on a full cache replay).
+    /// Total ε the statement was charged. A replay from the answer
+    /// cache reports the charge of the answer it replays (0 for a batch
+    /// whose every member replayed) and debits nothing.
     pub epsilon_spent: f64,
-    /// Groups suppressed by the minimum-frequency rule.
-    pub suppressed_groups: u64,
     /// Statements successfully parsed in this call (1).
     pub statements_parsed: u64,
     /// Statements successfully planned in this call (1).
     pub statements_planned: u64,
     /// Telemetry from the underlying run(s), with the `sql` object
     /// stamped, when requested via [`SqlOptions::collect_telemetry`].
+    /// Its `sql.suppressed_groups` counts the keys the minimum-frequency
+    /// rule withheld: an operator-facing figure, outside the DP
+    /// guarantee, that never reaches the analyst's answer.
     pub telemetry: Option<TelemetryReport>,
 }
 
@@ -240,15 +241,13 @@ fn column_labels(stmt: &Statement) -> Vec<String> {
 fn compile_aggregates(
     stmt: &Statement,
     filter: &RowFilter,
-    group: Option<&(RowTags, u16)>,
     ctx: &PlanContext,
     options: &SqlOptions,
 ) -> Result<Vec<QuerySpec>, SqlError> {
     stmt.aggregates
         .iter()
         .map(|agg| {
-            let plan =
-                grouped_aggregate_spec(agg, filter, ctx, options.block_size, group.cloned())?;
+            let plan = aggregate_spec(agg, filter, ctx, options.block_size)?;
             Ok(finish_spec(plan.spec, options))
         })
         .collect()
@@ -284,7 +283,7 @@ fn run_ungrouped(
         predicate: stmt.predicate.clone(),
         group_key: Vec::new(),
     };
-    let mut specs = compile_aggregates(stmt, &filter, None, ctx, options)?;
+    let mut specs = compile_aggregates(stmt, &filter, ctx, options)?;
 
     let (values, epsilon_spent, telemetry) = if specs.len() == 1 {
         // Single aggregate: one plain run, bit-identical to the
@@ -315,7 +314,6 @@ fn run_ungrouped(
             noisy_count: None,
         }],
         epsilon_spent,
-        suppressed_groups: 0,
         statements_parsed: 1,
         statements_planned: 1,
         telemetry: telemetry.map(|t| stamp(t, 0)),
@@ -330,90 +328,53 @@ fn run_grouped(
     options: &SqlOptions,
     epsilon: Epsilon,
 ) -> Result<SqlAnswer, SqlError> {
+    // Pass 1, a trusted planner step: the sorted distinct keys of the
+    // rows `WHERE` passes. They are released only through the charged
+    // run below and, unless the caller is trusted, its frequency gate.
     let snapshot = runtime.dataset_handle(&stmt.dataset)?.snapshot();
-    let Groups { keys, tags } = classify_groups(snapshot.store(), stmt)?;
-    if keys.is_empty() {
-        // No row matches the predicate. The key *set* is enumerated
-        // from raw rows, so returning an uncharged empty answer here
-        // would be a noiseless membership oracle with free retries
-        // (ask `WHERE c0 = v GROUP BY c1` until it stops being empty).
-        // Charge the full statement budget through the same atomic
-        // batch path as every other grouped release — a hidden
-        // COUNT(*) whose value is discarded — so this case is
-        // indistinguishable on cost and `epsilon_spent` from a
-        // statement whose every group was suppressed.
-        return run_empty_grouped(runtime, principal, stmt, ctx, options, epsilon);
-    }
+    let partition = KeyPartition::scan(snapshot.store(), stmt.group_by.clone(), |row| {
+        stmt.predicate.as_ref().is_none_or(|p| p.matches(row))
+    });
 
     // Reuse a selected COUNT as the frequency gate when there is one;
-    // otherwise plan a hidden COUNT(*) per group — but only when the
-    // rule is armed (min_count > 0), since the count costs budget.
+    // otherwise estimate a hidden COUNT(*) per key — but only when the
+    // rule is armed (min_count > 0), since its dimension costs budget.
+    let selected = stmt.aggregates.len();
     let count_index = stmt
         .aggregates
         .iter()
         .position(|a| a.func == AggFunc::Count);
-    let needs_hidden_count = count_index.is_none() && options.min_count > 0.0;
-    let specs_per_group = stmt.aggregates.len() + usize::from(needs_hidden_count);
+    let gated = options.min_count > 0.0;
+    let hidden_count = count_index.is_none() && gated;
+    let gate_index = count_index.or(hidden_count.then_some(selected));
 
-    let mut specs = Vec::with_capacity(keys.len() * specs_per_group);
-    for (g, key) in keys.iter().enumerate() {
-        let filter = RowFilter {
-            predicate: stmt.predicate.clone(),
-            group_key: stmt
-                .group_by
-                .iter()
-                .copied()
-                .zip(key.iter().copied())
-                .collect(),
-        };
-        let group = tags.as_ref().map(|tags| (tags.clone(), g as u16));
-        specs.extend(compile_aggregates(
-            stmt,
-            &filter,
-            group.as_ref(),
-            ctx,
-            options,
-        )?);
-        if needs_hidden_count {
-            let count_agg = crate::ast::Aggregate {
-                func: AggFunc::Count,
-                column: None,
-            };
-            let plan = grouped_aggregate_spec(&count_agg, &filter, ctx, options.block_size, group)?;
-            specs.push(finish_spec(plan.spec, options));
-        }
-    }
+    let spec = grouped_spec(
+        stmt,
+        ctx,
+        partition.clone(),
+        options.block_size,
+        hidden_count,
+    )?;
+    let spec = finish_spec(spec, options).epsilon(epsilon);
+    let per_key = spec.output_dimension();
+    let answer = match principal {
+        Some(p) => runtime.run_as(&stmt.dataset, p, spec)?,
+        None => runtime.run(&stmt.dataset, spec)?,
+    };
 
-    let batch = runtime.run_batch_as(&stmt.dataset, principal, specs, epsilon)?;
-    let epsilon_spent = batch.charged;
-    let telemetry = batch.answers.iter().find_map(|a| a.telemetry.clone());
-
-    let mut rows = Vec::with_capacity(keys.len());
+    let mut rows = Vec::new();
     let mut suppressed_groups = 0u64;
-    for (g, key) in keys.iter().enumerate() {
-        let base = g * specs_per_group;
-        let values: Vec<f64> = (0..stmt.aggregates.len())
-            .map(|i| batch.answers[base + i].values[0])
-            .collect();
-        let noisy_count = match count_index {
-            Some(i) => Some(values[i]),
-            None if needs_hidden_count => {
-                Some(batch.answers[base + stmt.aggregates.len()].values[0])
-            }
-            None => None,
-        };
+    for (key, values) in partition.keys().zip(answer.values.chunks_exact(per_key)) {
+        let noisy_count = gate_index.map(|i| values[i]);
         // The minimum-frequency rule: suppress the whole group — key
         // and values — when its noisy count falls below the threshold.
-        if options.min_count > 0.0 {
-            let count = noisy_count.expect("gate armed implies a count");
-            if count < options.min_count {
-                suppressed_groups += 1;
-                continue;
-            }
+        if gated && noisy_count.is_some_and(|count| count < options.min_count) {
+            suppressed_groups += 1;
+            continue;
         }
         rows.push(SqlRow {
-            group: key.clone(),
-            values,
+            group: key.to_vec(),
+            values: values[..selected].to_vec(),
             noisy_count,
         });
     }
@@ -421,200 +382,17 @@ fn run_grouped(
     Ok(SqlAnswer {
         columns: column_labels(stmt),
         rows,
-        epsilon_spent,
-        suppressed_groups,
+        epsilon_spent: answer.epsilon_spent,
         statements_parsed: 1,
         statements_planned: 1,
-        telemetry: telemetry.map(|t| stamp(t, suppressed_groups)),
+        telemetry: answer.telemetry.map(|t| stamp(t, suppressed_groups)),
     })
-}
-
-/// The empty-key-set arm of [`run_grouped`]: debits the full statement
-/// budget via a hidden, discarded `COUNT(*)` so that "no matching
-/// rows" costs exactly what "every group suppressed" costs.
-fn run_empty_grouped(
-    runtime: &GuptRuntime,
-    principal: Option<&str>,
-    stmt: &Statement,
-    ctx: &PlanContext,
-    options: &SqlOptions,
-    epsilon: Epsilon,
-) -> Result<SqlAnswer, SqlError> {
-    let filter = RowFilter {
-        predicate: stmt.predicate.clone(),
-        group_key: Vec::new(),
-    };
-    let count_agg = crate::ast::Aggregate {
-        func: AggFunc::Count,
-        column: None,
-    };
-    let plan = aggregate_spec(&count_agg, &filter, ctx, options.block_size)?;
-    let batch = runtime.run_batch_as(
-        &stmt.dataset,
-        principal,
-        vec![finish_spec(plan.spec, options)],
-        epsilon,
-    )?;
-    let telemetry = batch.answers.into_iter().find_map(|a| a.telemetry);
-    Ok(SqlAnswer {
-        columns: column_labels(stmt),
-        rows: Vec::new(),
-        epsilon_spent: batch.charged,
-        suppressed_groups: 0,
-        statements_parsed: 1,
-        statements_planned: 1,
-        telemetry: telemetry.map(|t| stamp(t, 0)),
-    })
-}
-
-/// A grouped statement's keys, and each row's group.
-struct Groups {
-    /// The distinct key tuples of the rows the `WHERE` predicate
-    /// passes, in ascending lexicographic `total_cmp` order (with `==`
-    /// duplicates merged as a sort + dedup merges them).
-    keys: Vec<Vec<f64>>,
-    /// Each row tagged with the rank of the one key it matches, or
-    /// [`NO_GROUP`]. `None` when two keys compare `==` — a `-0.0` and a
-    /// `0.0` tuple the sort left apart — so that a row matches both and
-    /// every sub-plan keeps its filter.
-    tags: Option<RowTags>,
-}
-
-/// The tag of a row the `WHERE` predicate fails or no key matches.
-const NO_GROUP: u16 = u16::MAX;
-
-const _: () = assert!(
-    MAX_GROUPS < NO_GROUP as usize,
-    "ranks must fit below NO_GROUP"
-);
-
-/// The over-cap refusal. Deliberately generic: the true cardinality is
-/// a raw, data-dependent statistic and must not ride out on an
-/// uncharged error path.
-fn too_many_groups() -> SqlError {
-    SqlError::plan(format!(
-        "GROUP BY exceeds the maximum of {MAX_GROUPS} groups"
-    ))
-}
-
-/// Classifies the rows of `store` for a grouped statement: the distinct
-/// key tuples of the rows the `WHERE` predicate passes, and each row's
-/// key rank — two passes over the rows, neither allocating per row.
-///
-/// This is a *trusted planner* step — it reads raw rows of the
-/// statement's snapshot, never releases them, and the key set it
-/// produces is only published after the per-group noisy counts clear
-/// the minimum-frequency gate. A row's tag is a function of that row
-/// and of the key list the sub-plans already bake in as filters.
-///
-/// Pass 1 keeps each distinct key once per bit pattern, in `total_cmp`
-/// order (rows whose key holds a NaN, which equals nothing, each keep
-/// their own), and the key list is then sorted and deduplicated exactly
-/// as before. Counting stops, and the generic over-cap error follows,
-/// once more than [`MAX_GROUPS`] keys are certain. Pass 2 tags each row
-/// with its key's rank, found by binary search.
-fn classify_groups(store: &Arc<RowStore>, stmt: &Statement) -> Result<Groups, SqlError> {
-    let cols = &stmt.group_by;
-    let passes = |row: &[f64]| stmt.predicate.as_ref().is_none_or(|p| p.matches(row));
-    // Where the key of `row` is among the sorted `patterns`.
-    let find = |patterns: &[Box<[f64]>], row: &[f64]| {
-        patterns.binary_search_by(|key| {
-            key.iter()
-                .zip(cols)
-                .map(|(k, &c)| k.total_cmp(&row[c]))
-                .find(|o| o.is_ne())
-                .unwrap_or(Ordering::Equal)
-        })
-    };
-
-    // Pass 1: the distinct non-NaN key patterns, and a key per NaN row.
-    let mut patterns: Vec<Box<[f64]>> = Vec::new();
-    let mut nan_keys: Vec<Vec<f64>> = Vec::new();
-    for row in store.iter_rows() {
-        if !passes(row) {
-            continue;
-        }
-        if cols.iter().any(|&c| row[c].is_nan()) {
-            nan_keys.push(cols.iter().map(|&c| row[c]).collect());
-        } else if let Err(at) = find(&patterns, row) {
-            patterns.insert(at, cols.iter().map(|&c| row[c]).collect());
-        } else {
-            continue;
-        }
-        // The dedup merges neighbours that compare `==` (a `-0.0` beside
-        // a `0.0`), so the patterns less such pairs are a lower bound on
-        // the key count: the loop never stops while the keys fit.
-        let merged = patterns.windows(2).filter(|w| w[0] == w[1]).count();
-        if patterns.len() - merged + nan_keys.len() > MAX_GROUPS {
-            return Err(too_many_groups());
-        }
-    }
-
-    let mut keys: Vec<Vec<f64>> = patterns
-        .iter()
-        .map(|p| p.to_vec())
-        .chain(nan_keys)
-        .collect();
-    keys.sort_by(|a, b| total_cmp_keys(a, b));
-    keys.dedup();
-    if keys.len() > MAX_GROUPS {
-        return Err(too_many_groups());
-    }
-
-    // A key matches a row when their values compare `==`, as the
-    // sub-plans' filters test it. A tag names one key, so when two keys
-    // compare `==` (zeros the sort left apart) rows stay untagged.
-    let mut classes: Vec<Vec<f64>> = keys
-        .iter()
-        .filter(|key| !key.iter().any(|v| v.is_nan()))
-        .map(|key| {
-            key.iter()
-                .map(|&v| if v == 0.0 { 0.0 } else { v })
-                .collect()
-        })
-        .collect();
-    classes.sort_by(|a, b| total_cmp_keys(a, b));
-    if classes.windows(2).any(|w| w[0] == w[1]) {
-        return Ok(Groups { keys, tags: None });
-    }
-
-    // Each pattern's rank: its own key's, or, when the dedup merged it,
-    // that of the pattern before it.
-    let mut ranks: Vec<u16> = Vec::with_capacity(patterns.len());
-    for (i, pattern) in patterns.iter().enumerate() {
-        let rank = match keys.binary_search_by(|key| total_cmp_keys(key, pattern)) {
-            Ok(rank) => rank as u16,
-            Err(_) => ranks[i - 1],
-        };
-        ranks.push(rank);
-    }
-
-    // Pass 2: each row's rank.
-    let tags = RowTags::classify(store, |row| {
-        if !passes(row) {
-            return NO_GROUP;
-        }
-        find(&patterns, row).map_or(NO_GROUP, |i| ranks[i])
-    });
-    Ok(Groups {
-        keys,
-        tags: Some(tags),
-    })
-}
-
-/// Lexicographic `total_cmp` order on key tuples.
-fn total_cmp_keys(a: &[f64], b: &[f64]) -> Ordering {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| x.total_cmp(y))
-        .find(|o| o.is_ne())
-        .unwrap_or(Ordering::Equal)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gupt_core::{BlockView, GuptRuntimeBuilder};
+    use gupt_core::GuptRuntimeBuilder;
     use gupt_dp::OutputRange;
 
     fn eps(v: f64) -> Epsilon {
@@ -648,6 +426,17 @@ mod tests {
             ],
             ..SqlOptions::default()
         }
+    }
+
+    /// The operator-facing count of suppressed groups, from the stamped
+    /// telemetry of an answer run with `collect_telemetry`.
+    fn suppressed(answer: &SqlAnswer) -> u64 {
+        answer
+            .telemetry
+            .as_ref()
+            .expect("telemetry requested")
+            .sql
+            .suppressed_groups
     }
 
     #[test]
@@ -727,7 +516,6 @@ mod tests {
             let gate = row.noisy_count.expect("gate armed by default");
             assert!(gate >= DEFAULT_MIN_COUNT);
         }
-        assert_eq!(ans.suppressed_groups, 0);
         // The reported ε is the one debit, not a float sum of shares.
         assert_eq!(ans.epsilon_spent, 4.0);
     }
@@ -745,24 +533,25 @@ mod tests {
         assert_eq!(ans.rows.len(), 4);
         // Trusted mode: no gate, no hidden count, raw key set.
         assert!(ans.rows[0].noisy_count.is_none());
-        assert_eq!(ans.suppressed_groups, 0);
     }
 
     #[test]
     fn min_frequency_rule_suppresses_rare_groups() {
         let rt = runtime(12);
         // c2 = 1 holds exactly one row, c2 = 0 the other 1999. The gate
-        // count's noise scale is ≈24 here, so a threshold of 500 sits
-        // hundreds of scales from both true counts — the rare group is
+        // count's noise scale is ≈48 here (ε = 8 split over 2·2
+        // dimensions, 21 blocks, width n = 2000), so a threshold of 500
+        // sits ten scales from both true counts — the rare group is
         // suppressed and the common group released for any seed.
         let opts = SqlOptions {
             min_count: 500.0,
+            collect_telemetry: true,
             ..options()
         };
         let ans = rt
             .sql("SELECT AVG(c0) FROM t GROUP BY c2 WITH EPSILON 8", &opts)
             .unwrap();
-        assert_eq!(ans.suppressed_groups, 1);
+        assert_eq!(suppressed(&ans), 1);
         assert_eq!(ans.rows.len(), 1);
         assert_eq!(ans.rows[0].group, vec![0.0]);
         // The surviving group's gate count is noisy and present.
@@ -800,7 +589,6 @@ mod tests {
             )
             .unwrap();
         assert!(ans.rows.is_empty());
-        assert_eq!(ans.suppressed_groups, 0);
         // A free empty answer would be a noiseless membership oracle:
         // the full statement budget (options default ε = 1) is debited
         // even though nothing was released.
@@ -841,9 +629,10 @@ mod tests {
     }
 
     #[test]
-    fn over_cardinality_error_does_not_leak_the_true_count() {
-        // A dedicated runtime where every row is its own group: 1500
-        // distinct keys, comfortably past the MAX_GROUPS cap of 1000.
+    fn more_than_a_thousand_keys_charge_once_and_answer() {
+        // Every row is its own group: 1500 keys, past the cap that once
+        // refused such a statement before any charge. It is one run,
+        // charged the statement ε like any other.
         let rows: Vec<Vec<f64>> = (0..1500).map(|i| vec![i as f64]).collect();
         let rt = GuptRuntimeBuilder::new()
             .register_dataset("wide", rows, eps(1000.0))
@@ -852,16 +641,15 @@ mod tests {
             .build();
         let opts = SqlOptions {
             column_ranges: vec![OutputRange::new(0.0, 1499.0).unwrap()],
-            ..SqlOptions::default()
+            ..SqlOptions::trusted()
         };
-        let err = rt
+        let ans = rt
             .sql("SELECT COUNT(*) FROM wide GROUP BY c0", &opts)
-            .unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("exceeds the maximum"), "{msg}");
-        // The true cardinality (1500) must not appear anywhere in the
-        // message — only the fixed, public cap may.
-        assert!(!msg.contains("1500"), "leaked true cardinality: {msg}");
+            .unwrap();
+        assert_eq!(ans.rows.len(), 1500);
+        assert_eq!(ans.epsilon_spent, 1.0);
+        assert_eq!(rt.remaining_budget("wide").unwrap(), 999.0);
+        assert_eq!(rt.queries_run("wide").unwrap(), 1);
     }
 
     #[test]
@@ -891,10 +679,11 @@ mod tests {
         let ans = rt
             .sql("SELECT AVG(c0) FROM t GROUP BY c2 WITH EPSILON 8", &opts)
             .unwrap();
-        let report = ans.telemetry.expect("telemetry requested");
+        let report = ans.telemetry.as_ref().expect("telemetry requested");
         assert_eq!(report.sql.statements_parsed, 1);
         assert_eq!(report.sql.statements_planned, 1);
-        assert_eq!(report.sql.suppressed_groups, ans.suppressed_groups);
+        // c2 holds two keys: every one is released or counted.
+        assert_eq!(ans.rows.len() as u64 + report.sql.suppressed_groups, 2);
         assert!(report.sql.suppressed_groups >= 1);
         assert!(report.to_json().contains("\"sql\":"));
     }
@@ -928,220 +717,5 @@ mod tests {
             .sql("SELECT COUNT(*) FROM t WITH EPSILON 0", &options())
             .unwrap_err();
         assert!(matches!(err, SqlError::Plan { .. }));
-    }
-
-    /// The sort + dedup that enumerated group keys before rows were
-    /// classified: the oracle for [`classify_groups`]' key list.
-    fn oracle_keys(store: &RowStore, stmt: &Statement) -> Vec<Vec<f64>> {
-        let mut keys: Vec<Vec<f64>> = Vec::new();
-        for row in store.iter_rows() {
-            if let Some(pred) = &stmt.predicate {
-                if !pred.matches(row) {
-                    continue;
-                }
-            }
-            keys.push(stmt.group_by.iter().map(|&c| row[c]).collect());
-        }
-        keys.sort_by(|a, b| {
-            a.iter()
-                .zip(b.iter())
-                .map(|(x, y)| x.total_cmp(y))
-                .find(|o| o.is_ne())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        keys.dedup();
-        keys
-    }
-
-    fn key_bits(keys: &[Vec<f64>]) -> Vec<Vec<u64>> {
-        keys.iter()
-            .map(|k| k.iter().map(|v| v.to_bits()).collect())
-            .collect()
-    }
-
-    /// Classifies `rows` for `sql` and checks it against the oracle: the
-    /// same key list bit for bit and, when rows are tagged, each key's
-    /// rows exactly the rows its filter matches. Returns the keys and
-    /// whether rows were tagged.
-    fn classify_checked(rows: &[Vec<f64>], sql: &str) -> Result<(Vec<Vec<f64>>, bool), SqlError> {
-        let store = Arc::new(RowStore::from_rows(rows));
-        let stmt = parse(sql).unwrap();
-        let Groups { keys, tags } = classify_groups(&store, &stmt)?;
-        assert_eq!(
-            key_bits(&keys),
-            key_bits(&oracle_keys(&store, &stmt)),
-            "{sql}"
-        );
-        let filter = |key: &[f64]| RowFilter {
-            predicate: stmt.predicate.clone(),
-            group_key: stmt
-                .group_by
-                .iter()
-                .copied()
-                .zip(key.iter().copied())
-                .collect(),
-        };
-        match &tags {
-            Some(tags) => {
-                let full = BlockView::full(Arc::clone(&store));
-                let bits = |row: &[f64]| -> Vec<u64> { row.iter().map(|v| v.to_bits()).collect() };
-                for (g, key) in keys.iter().enumerate() {
-                    let tagged: Vec<Vec<u64>> = full
-                        .rows_tagged(tags, g as u16)
-                        .unwrap()
-                        .map(bits)
-                        .collect();
-                    let filter = filter(key);
-                    let matched: Vec<Vec<u64>> = store
-                        .iter_rows()
-                        .filter(|r| filter.matches(r))
-                        .map(bits)
-                        .collect();
-                    assert_eq!(tagged, matched, "{sql}: key {key:?}");
-                }
-            }
-            None => {
-                // Untagged only when some row matches two keys.
-                assert!(store
-                    .iter_rows()
-                    .any(|row| { keys.iter().filter(|key| filter(key).matches(row)).count() > 1 }));
-            }
-        }
-        Ok((keys, tags.is_some()))
-    }
-
-    fn seeded_rows(n: usize, seed: u64, row: impl Fn(u64) -> Vec<f64>) -> Vec<Vec<f64>> {
-        let mut state = seed;
-        (0..n)
-            .map(|_| {
-                state = mix(state);
-                row(state)
-            })
-            .collect()
-    }
-
-    fn mix(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// A value from a small pool holding both zeros, a NaN and a few
-    /// integers.
-    fn pooled(h: u64) -> f64 {
-        [0.0, -0.0, 1.0, -1.0, 2.0, f64::NAN, 7.5][(h % 7) as usize]
-    }
-
-    #[test]
-    fn classification_matches_the_sort_dedup_oracle_with_signed_zeros() {
-        for seed in 0..12 {
-            let rows = seeded_rows(400, seed, |h| {
-                vec![pooled(h), pooled(h >> 8), (h >> 16) as f64 % 50.0]
-            });
-            for sql in [
-                "SELECT COUNT(*) FROM t GROUP BY c0",
-                "SELECT COUNT(*) FROM t GROUP BY c1, c0",
-                "SELECT COUNT(*) FROM t WHERE c2 < 25 GROUP BY c0, c1",
-                "SELECT COUNT(*) FROM t WHERE c0 >= 0 GROUP BY c0",
-            ] {
-                classify_checked(&rows, sql).unwrap();
-            }
-        }
-        // One column: the two zeros merge into the key the sort kept
-        // first (-0.0), and every zero row is tagged with it.
-        let rows = vec![vec![0.0], vec![-0.0], vec![3.0], vec![0.0]];
-        let (keys, tagged) = classify_checked(&rows, "SELECT COUNT(*) FROM t GROUP BY c0").unwrap();
-        assert_eq!(key_bits(&keys), key_bits(&[vec![-0.0], vec![3.0]]));
-        assert!(tagged);
-        // Two columns: (-0.0, 1) sorts between (-0.0, 0) and (0.0, 0),
-        // so the dedup keeps both zero keys and rows stay untagged.
-        let rows = vec![vec![-0.0, 0.0], vec![-0.0, 1.0], vec![0.0, 0.0]];
-        let (keys, tagged) =
-            classify_checked(&rows, "SELECT COUNT(*) FROM t GROUP BY c0, c1").unwrap();
-        assert_eq!(keys.len(), 3);
-        assert!(!tagged);
-    }
-
-    #[test]
-    fn classification_of_a_table_the_where_filters_out_is_empty() {
-        let rows = seeded_rows(300, 5, |h| vec![(h % 9) as f64, pooled(h >> 4)]);
-        let (keys, _) =
-            classify_checked(&rows, "SELECT COUNT(*) FROM t WHERE c0 > 100 GROUP BY c1").unwrap();
-        assert!(keys.is_empty());
-    }
-
-    #[test]
-    fn classification_stops_past_max_groups_with_the_generic_error() {
-        let keyed = |distinct: usize| -> Vec<Vec<f64>> {
-            (0..3 * distinct)
-                .map(|i| vec![(i % distinct) as f64])
-                .collect()
-        };
-        let sql = "SELECT COUNT(*) FROM t GROUP BY c0";
-        let (keys, _) = classify_checked(&keyed(MAX_GROUPS), sql).unwrap();
-        assert_eq!(keys.len(), MAX_GROUPS);
-        // -0.0 beside 0.0 is one more bit pattern but not one more key,
-        // whichever of the two is seen first.
-        for at in [0, 3 * MAX_GROUPS] {
-            let mut rows = keyed(MAX_GROUPS);
-            rows.insert(at, vec![-0.0]);
-            let (keys, _) = classify_checked(&rows, sql).unwrap();
-            assert_eq!(keys.len(), MAX_GROUPS);
-        }
-        for rows in [keyed(MAX_GROUPS + 1), {
-            let mut rows = keyed(MAX_GROUPS);
-            rows.push(vec![f64::NAN]);
-            rows
-        }] {
-            let store = Arc::new(RowStore::from_rows(&rows));
-            let stmt = parse(sql).unwrap();
-            assert_eq!(oracle_keys(&store, &stmt).len(), MAX_GROUPS + 1);
-            let err = classify_groups(&store, &stmt).err().expect("over the cap");
-            assert_eq!(err.to_string(), too_many_groups().to_string());
-        }
-    }
-
-    #[test]
-    fn sub_plans_tagged_before_an_append_fall_back_to_their_filter() {
-        // Tags classified over the registered store; an append then gives
-        // the batch a new store, so every member's blocks miss the tags
-        // and must evaluate the filter — releasing what a handwritten
-        // batch over the grown table releases.
-        let stmt = parse("SELECT AVG(c0) FROM t WHERE c0 < 40 GROUP BY c1 WITH EPSILON 2").unwrap();
-        let answer = |tagged: bool| -> Vec<u64> {
-            let rt = runtime(23);
-            let store = Arc::clone(rt.dataset_handle("t").unwrap().snapshot().store());
-            let Groups { keys, tags } = classify_groups(&store, &stmt).unwrap();
-            let tags = tags.expect("one key per row");
-            rt.append_rows("t", &[vec![7.0, 2.0, 0.0], vec![9.0, 0.0, 0.0]])
-                .unwrap();
-            let ctx = PlanContext {
-                dataset_size: rt.dataset_len("t").unwrap(),
-                dataset_dimension: 3,
-                column_ranges: options().column_ranges,
-            };
-            let specs = keys
-                .iter()
-                .enumerate()
-                .map(|(g, key)| {
-                    let filter = RowFilter {
-                        predicate: stmt.predicate.clone(),
-                        group_key: vec![(1, key[0])],
-                    };
-                    let group = tagged.then(|| (tags.clone(), g as u16));
-                    grouped_aggregate_spec(&stmt.aggregates[0], &filter, &ctx, None, group)
-                        .unwrap()
-                        .spec
-                })
-                .collect();
-            let batch = rt.run_batch("t", specs, eps(2.0)).unwrap();
-            batch
-                .answers
-                .iter()
-                .map(|a| a.values[0].to_bits())
-                .collect()
-        };
-        assert_eq!(answer(true), answer(false));
     }
 }

@@ -30,11 +30,13 @@
 //!    descent, errors with 1-based line/column.
 //! 2. **Plan** ([`plan`]) — each aggregate becomes a view-native
 //!    filter program over [`gupt_core::BlockView`]s plus a tight
-//!    output range derived from the analyst-supplied column ranges.
+//!    output range derived from the analyst-supplied column ranges; a
+//!    `GROUP BY` statement becomes one partitioned spec over its keys.
 //! 3. **Execute** ([`exec::SqlRuntime`]) — one plain run for a single
 //!    aggregate (bit-identical to the handwritten spec at the same
-//!    seed), a §5.2 batch for multi-aggregate and `GROUP BY`
-//!    statements, then the minimum-frequency release gate — armed by
+//!    seed), a §5.2 batch for a multi-aggregate statement, one
+//!    partitioned run for a `GROUP BY` statement, then the
+//!    minimum-frequency release gate — armed by
 //!    default at [`DEFAULT_MIN_COUNT`], yielding an (ε, δ)-DP key-set
 //!    release whose δ is quantified by [`gate_delta`]. Disarming it is
 //!    an explicit, trusted-context decision ([`SqlOptions::trusted`]).
@@ -73,8 +75,8 @@ pub mod plan;
 
 pub use ast::{AggFunc, Aggregate, CmpOp, Predicate, Statement};
 pub use error::SqlError;
-pub use exec::{
-    gate_delta, SqlAnswer, SqlOptions, SqlRow, SqlRuntime, DEFAULT_MIN_COUNT, MAX_GROUPS,
-};
+pub use exec::{gate_delta, SqlAnswer, SqlOptions, SqlRow, SqlRuntime, DEFAULT_MIN_COUNT};
 pub use parser::parse;
-pub use plan::{aggregate_spec, output_range, validate, AggregatePlan, PlanContext, RowFilter};
+pub use plan::{
+    aggregate_spec, grouped_spec, output_range, validate, AggregatePlan, PlanContext, RowFilter,
+};

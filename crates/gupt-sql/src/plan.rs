@@ -1,20 +1,23 @@
 //! Compiles DP-SQL statements onto the chamber pipeline.
 //!
-//! Each selected aggregate becomes one [`QuerySpec`] whose untrusted
+//! An ungrouped aggregate becomes one [`QuerySpec`] whose untrusted
 //! program is a **view-native filter program**: a closure over the
-//! block's [`BlockView`] that selects the rows passing the (WHERE ∧
-//! group-key) predicate — by evaluating it, or, for a grouped statement
-//! whose rows were classified once, by their [`RowTags`] tag — and
-//! emits a sample-and-aggregate *block estimator* of the requested
-//! statistic. The runtime then clamps, averages and
-//! noises the block outputs exactly as it does for handwritten specs —
-//! SQL adds no second release path, only a compiler in front of the
-//! existing one.
+//! block's [`BlockView`] that selects the rows passing the `WHERE`
+//! predicate and emits a sample-and-aggregate *block estimator* of the
+//! requested statistic. A grouped statement becomes one *partitioned*
+//! spec ([`grouped_spec`]): the runtime routes each block's rows to their
+//! `GROUP BY` key and runs one estimator per selected aggregate (plus the
+//! frequency gate's hidden `COUNT(*)`) on each key's sub-view. The
+//! runtime then clamps, averages and noises the block outputs exactly as
+//! it does for handwritten specs — SQL adds no second release path, only
+//! a compiler in front of the existing one.
 //!
 //! # Block estimator semantics
 //!
 //! With `n` the (public) dataset size, `m` the block's row count and
-//! `S` the block rows matching the filter:
+//! `S` the block rows matching the filter (for a grouped statement: the
+//! key's rows of the block that pass `WHERE`, with `m` still the whole
+//! block's length):
 //!
 //! | aggregate      | block output                       | output range            |
 //! |----------------|------------------------------------|-------------------------|
@@ -30,14 +33,15 @@
 //! average toward an arbitrary boundary.
 //!
 //! Program identities bake the canonical statement fragment, `n` and
-//! the output range, so textually identical SQL replays from the
-//! answer cache at zero ε — while the per-query RNG keys on submission
-//! order, not identity, keeping SQL noise bit-identical to the
-//! handwritten equivalent.
+//! the output range (a grouped spec's fingerprint adds its key columns
+//! and key list), so textually identical SQL replays from the answer
+//! cache at zero ε — while the per-query RNG keys on submission order,
+//! not identity, keeping SQL noise bit-identical to the handwritten
+//! equivalent.
 
 use crate::ast::{AggFunc, Aggregate, Predicate, Statement};
 use crate::error::SqlError;
-use gupt_core::{BlockView, QuerySpec, RangeEstimation, RowTags};
+use gupt_core::{BlockView, KeyPartition, QuerySpec, RangeEstimation};
 use gupt_dp::OutputRange;
 
 /// Public facts about the target dataset the planner compiles against.
@@ -186,23 +190,6 @@ pub fn aggregate_spec(
     ctx: &PlanContext,
     block_size: Option<usize>,
 ) -> Result<AggregatePlan, SqlError> {
-    grouped_aggregate_spec(agg, filter, ctx, block_size, None)
-}
-
-/// Like [`aggregate_spec`], for one group of a grouped statement whose
-/// rows were classified once: `group` holds the statement's row tags
-/// and this group's tag, which must select exactly the rows `filter`
-/// matches, and the block estimator selects its rows by tag instead of
-/// evaluating `filter` on every row. When a block's view is over a
-/// different store than the tags (an append landed after
-/// classification), the estimator evaluates `filter` as usual.
-pub(crate) fn grouped_aggregate_spec(
-    agg: &Aggregate,
-    filter: &RowFilter,
-    ctx: &PlanContext,
-    block_size: Option<usize>,
-    group: Option<(RowTags, u16)>,
-) -> Result<AggregatePlan, SqlError> {
     let range = output_range(agg, ctx)?;
     let n = ctx.dataset_size as f64;
     let midpoint = range.midpoint();
@@ -217,20 +204,8 @@ pub(crate) fn grouped_aggregate_spec(
             return vec![midpoint];
         }
         let value = |row: &[f64]| row.get(column).copied().unwrap_or(0.0);
-        let tagged = group
-            .as_ref()
-            .and_then(|(tags, tag)| block.rows_tagged(tags, *tag));
-        let estimate = match tagged {
-            Some(rows) => estimate(func, rows.map(value), m, n, midpoint),
-            None => estimate(
-                func,
-                block.iter().filter(|row| filter.matches(row)).map(value),
-                m,
-                n,
-                midpoint,
-            ),
-        };
-        vec![estimate]
+        let matched = block.iter().filter(|row| filter.matches(row)).map(value);
+        vec![estimate(func, matched, m, n, midpoint)]
     };
 
     let identity = format!(
@@ -249,6 +224,95 @@ pub(crate) fn grouped_aggregate_spec(
     }
     let spec = builder.build()?;
     Ok(AggregatePlan { spec, range })
+}
+
+/// Compiles a grouped statement into one partitioned [`QuerySpec`] over
+/// `partition`, whose key columns are the statement's `GROUP BY`
+/// columns.
+///
+/// The per-key program emits one block estimate per selected aggregate
+/// and, when `hidden_count` is set, a trailing `COUNT(*)` for the
+/// minimum-frequency gate. It reads only the key's rows of the block
+/// that pass `WHERE`, and scales by the whole block's length
+/// ([`BlockView::block_len`]). The spec carries no budget.
+pub fn grouped_spec(
+    stmt: &Statement,
+    ctx: &PlanContext,
+    partition: KeyPartition,
+    block_size: Option<usize>,
+    hidden_count: bool,
+) -> Result<QuerySpec, SqlError> {
+    let count = Aggregate {
+        func: AggFunc::Count,
+        column: None,
+    };
+    let aggregates: Vec<Aggregate> = stmt
+        .aggregates
+        .iter()
+        .copied()
+        .chain(hidden_count.then_some(count))
+        .collect();
+    let ranges = aggregates
+        .iter()
+        .map(|agg| output_range(agg, ctx))
+        .collect::<Result<Vec<_>, _>>()?;
+    let n = ctx.dataset_size as f64;
+    let estimators: Vec<(AggFunc, usize, f64)> = aggregates
+        .iter()
+        .zip(&ranges)
+        .map(|(agg, range)| (agg.func, agg.column.unwrap_or(0), range.midpoint()))
+        .collect();
+    let filter = RowFilter {
+        predicate: stmt.predicate.clone(),
+        group_key: Vec::new(),
+    };
+
+    let canonical = format!(
+        "sql:{}|{}|by={}|n={}|r={}",
+        aggregates
+            .iter()
+            .map(Aggregate::to_string)
+            .collect::<Vec<_>>()
+            .join(","),
+        filter.canonical(),
+        partition
+            .columns()
+            .iter()
+            .map(|c| format!("c{c}"))
+            .collect::<Vec<_>>()
+            .join(","),
+        ctx.dataset_size,
+        ranges
+            .iter()
+            .map(|r| format!("{}..{}", r.lo(), r.hi()))
+            .collect::<Vec<_>>()
+            .join(",")
+    );
+    let estimator = move |rows: &BlockView| -> Vec<f64> {
+        let m = rows.block_len();
+        // The key's rows `WHERE` passes, filtered once for all estimators.
+        let matched: Vec<&[f64]> = rows.iter().filter(|row| filter.matches(row)).collect();
+        estimators
+            .iter()
+            .map(|&(func, column, midpoint)| {
+                if m == 0 {
+                    return midpoint;
+                }
+                let value = |row: &&[f64]| row.get(column).copied().unwrap_or(0.0);
+                estimate(func, matched.iter().map(value), m, n, midpoint)
+            })
+            .collect()
+    };
+
+    let mut builder = QuerySpec::builder()
+        .view_with_dim(aggregates.len(), estimator)
+        .identity(canonical, 1)
+        .range_estimation(RangeEstimation::Tight(ranges))
+        .partitioned(partition);
+    if let Some(beta) = block_size {
+        builder = builder.fixed_block_size(beta);
+    }
+    Ok(builder.build()?)
 }
 
 /// One block's statistic over `values`, the aggregated column of the

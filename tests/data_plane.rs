@@ -16,7 +16,7 @@
 
 use gupt::core::{partition, BlockPlan, GuptRuntimeBuilder, QuerySpec, RangeEstimation};
 use gupt::dp::{Epsilon, OutputRange};
-use gupt::sandbox::{BlockView, RowStore, RowTags};
+use gupt::sandbox::{BlockView, KeyPartition, RowStore};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
@@ -134,14 +134,19 @@ fn row_iterator_conforms_to_indexed_access() {
     }
 }
 
-/// A view's tagged rows are exactly its rows whose tag matches, in
-/// block order, for every tag — and tags classified over another store
-/// select nothing.
+/// Routing a view by key gives, for each key of the partition present
+/// in it, exactly its rows with that key in block order — `-0.0` and
+/// `0.0` being one key — each sub-view remembering the view's length;
+/// rows whose key is outside the partition are routed nowhere.
 #[test]
-fn tagged_rows_match_a_filtered_iteration() {
-    let store = Arc::new(RowStore::from_rows(&rows(50)));
-    let tag = |row: &[f64]| (row[0] as u16 * 7) % 4;
-    let tags = RowTags::classify(&store, tag);
+fn routed_rows_match_a_filtered_iteration() {
+    let key = |i: usize| match (i * 7) % 4 {
+        0 if i.is_multiple_of(8) => -0.0,
+        k => k as f64,
+    };
+    let table: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64, key(i)]).collect();
+    let store = Arc::new(RowStore::from_rows(&table));
+    let partition = KeyPartition::new(vec![1], vec![3.0, 0.0, 1.0]).unwrap();
     let plan = plan_for(50, 7, 2, 3);
     let mut views = vec![
         BlockView::full(Arc::clone(&store)),
@@ -152,14 +157,26 @@ fn tagged_rows_match_a_filtered_iteration() {
     ];
     views.extend(plan.views(&store));
     for view in &views {
-        for t in 0..5 {
-            let tagged: Vec<&[f64]> = view.rows_tagged(&tags, t).expect("same store").collect();
-            let filtered: Vec<&[f64]> = view.iter().filter(|r| tag(r) == t).collect();
-            assert_eq!(tagged, filtered, "tag {t}");
+        let routed = partition.route(view);
+        let ranks: Vec<usize> = routed.iter().map(|(g, _)| *g).collect();
+        let present: Vec<usize> = (0..partition.len())
+            .filter(|&g| view.iter().any(|r| partition.rank(r) == Some(g)))
+            .collect();
+        assert_eq!(ranks, present);
+        for (g, sub) in &routed {
+            let wanted = partition.keys().nth(*g).unwrap()[0];
+            let filtered: Vec<&[f64]> = view.iter().filter(|r| r[1] == wanted).collect();
+            assert_eq!(sub.iter().collect::<Vec<_>>(), filtered, "key {wanted}");
+            assert_eq!(sub.len(), filtered.len());
+            assert_eq!(sub.block_len(), view.len());
         }
+        let unrouted = view.iter().filter(|r| r[1] == 2.0).count();
+        let routed_rows: usize = routed.iter().map(|(_, sub)| sub.len()).sum();
+        assert_eq!(routed_rows + unrouted, view.len());
+        let absent = KeyPartition::absent(view);
+        assert!(absent.is_empty());
+        assert_eq!(absent.block_len(), view.len());
     }
-    let copy = Arc::new(RowStore::from_rows(&rows(50)));
-    assert!(BlockView::full(copy).rows_tagged(&tags, 0).is_none());
 }
 
 proptest! {

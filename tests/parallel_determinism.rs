@@ -15,9 +15,10 @@
 //! shakes out interleavings debug builds never hit.
 
 use gupt::core::prelude::*;
-use gupt::core::{Aggregator, WindowSpec};
-use gupt::sandbox::{BlockProgram, Scratch};
+use gupt::core::{partition as partition_blocks, Aggregator, WindowSpec};
+use gupt::sandbox::{BlockProgram, KeyPartition, Scratch};
 use proptest::prelude::*;
+use rand::SeedableRng;
 use std::sync::Arc;
 
 const WIDTHS: [usize; 3] = [2, 4, 8];
@@ -372,8 +373,10 @@ const SQL_STATEMENTS: [(&str, bool); 6] = [
     ),
 ];
 
-/// FNV-1a over an answer's released rows: keys, values, gate counts
-/// and the suppressed-group count (not ε, which is reported, not drawn).
+/// FNV-1a over an answer's released rows: keys, values and gate counts
+/// (not ε, which is reported, not drawn), then a zero word — where the
+/// digests were first taken, answers ended with a suppressed-group
+/// count, always zero for the ungrouped statement pinned since then.
 fn sql_digest(answer: &gupt_sql::SqlAnswer) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut word = |w: u64| {
@@ -387,8 +390,28 @@ fn sql_digest(answer: &gupt_sql::SqlAnswer) -> u64 {
         row.values.iter().for_each(|v| word(v.to_bits()));
         word(row.noisy_count.map_or(u64::MAX, f64::to_bits));
     }
-    word(answer.suppressed_groups);
+    word(0);
     h
+}
+
+/// Where the ungrouped statement of [`SQL_STATEMENTS`] was submitted
+/// when its digest was captured: after the grouped statements' 516
+/// queries, one per (group, estimator). A grouped statement is now one
+/// query, so [`sql_digests`] submits the difference as plain queries
+/// first, and the statement draws the same query seed as it did then.
+const UNGROUPED_POSITION: usize = 516;
+
+/// Submits `count` one-block queries, each taking one query seed.
+fn advance(runtime: &GuptRuntime, count: usize) {
+    let n = runtime.dataset_len("t").unwrap();
+    for _ in 0..count {
+        let spec = QuerySpec::view_program(|_: &BlockView| vec![0.0])
+            .fixed_block_size(n)
+            .range_estimation(RangeEstimation::Tight(vec![
+                OutputRange::new(0.0, 1.0).unwrap()
+            ]));
+        runtime.run("t", spec).expect("query runs");
+    }
 }
 
 /// Runs every statement of [`SQL_STATEMENTS`] in order on one runtime
@@ -405,9 +428,16 @@ fn sql_digests(width: usize) -> Vec<u64> {
         .iter()
         .map(|&(lo, hi)| OutputRange::new(lo, hi).unwrap())
         .collect();
+    let grouped = SQL_STATEMENTS
+        .iter()
+        .filter(|(statement, _)| statement.contains("GROUP BY"))
+        .count();
     SQL_STATEMENTS
         .iter()
         .map(|&(statement, trusted)| {
+            if !statement.contains("GROUP BY") {
+                advance(&runtime, UNGROUPED_POSITION - grouped);
+            }
             let base = if trusted {
                 SqlOptions::trusted()
             } else {
@@ -423,24 +453,59 @@ fn sql_digests(width: usize) -> Vec<u64> {
         .collect()
 }
 
-/// FNV digests of [`SQL_STATEMENTS`]' answers, captured before grouped
-/// statements classified their rows once and ran in one dispatch.
+/// FNV digests of [`SQL_STATEMENTS`]' answers. The grouped ones were
+/// captured when each grouped statement became one partitioned run; the
+/// ungrouped one (last) is unchanged since it was first captured.
 const GOLDEN_SQL: [u64; 6] = [
-    0x6781_553d_e5f8_025b,
-    0xd524_4b61_c66d_5984,
-    0x1b65_bb7d_4425_8067,
-    0x24b9_2760_ec94_d0a1,
-    0x001b_34fc_6009_4137,
+    0x6d82_803e_ae0c_c262,
+    0x1466_6499_f660_02b8,
+    0xdae5_d41c_cf2a_7c3b,
+    0xcaf2_1c0d_6f60_3140,
+    0xf033_baec_3407_ddc7,
     0x3d3e_cee6_4849_65df,
 ];
 
 /// Grouped statements (10 and 100 keys, `WHERE`, gated and trusted, two
-/// key columns with `±0.0` keys) and a multi-aggregate ungrouped one run
-/// every sub-query through one batch dispatch: their released rows must
-/// be bit-identical at every pool width and equal the pinned digests.
+/// key columns with `±0.0` keys), each one partitioned run, and a
+/// multi-aggregate ungrouped one, a batch in one dispatch: their
+/// released rows must be bit-identical at every pool width and equal
+/// the pinned digests.
 #[test]
 fn sql_statements_are_width_invariant_and_pinned() {
     for width in [1, 2, 8] {
         assert_eq!(sql_digests(width), GOLDEN_SQL, "width {width}");
+    }
+}
+
+/// The two-column statement's keys hold `-0.0` and `0.0` apart in the
+/// rows: routing the table, and every block of a plan over it, must
+/// place each row in exactly one key's sub-view, the key its columns
+/// compare `==` to.
+#[test]
+fn signed_zero_keys_route_every_row_exactly_once() {
+    let (statement, _) = SQL_STATEMENTS[4];
+    let columns = gupt_sql::parse(statement).unwrap().group_by;
+    let rows = sql_rows(2000, 0x5A17);
+    assert!(rows.iter().any(|r| r[1].to_bits() == (-0.0f64).to_bits()));
+    assert!(rows.iter().any(|r| r[1].to_bits() == 0.0f64.to_bits()));
+    let store = Arc::new(RowStore::from_rows(&rows));
+    let partition = KeyPartition::scan(&store, columns.clone(), |_| true);
+    assert_eq!(partition.len(), 30, "10 × 3 keys, the zeros merged");
+    let plan = partition_blocks(2000, 96, 2, &mut rand::rngs::StdRng::seed_from_u64(7));
+    let mut views = plan.views(&store);
+    views.push(BlockView::full(Arc::clone(&store)));
+    let matches = |row: &[f64], key: &[f64]| columns.iter().zip(key).all(|(&c, &k)| row[c] == k);
+    for view in &views {
+        let mut seen = 0;
+        for (g, sub) in partition.route(view) {
+            let key = partition.keys().nth(g).unwrap();
+            for row in sub.iter() {
+                assert!(matches(row, key), "row {row:?} routed to {key:?}");
+                let keys = partition.keys().filter(|key| matches(row, key)).count();
+                assert_eq!(keys, 1, "row {row:?} matches one key");
+            }
+            seen += sub.len();
+        }
+        assert_eq!(seen, view.len(), "every row routed once");
     }
 }
